@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Full local verification: configure, build, run the test suite and the
-# figure-reproduction benches, then three extra build flavours —
+# figure-reproduction benches, then a flake leg and extra build flavours —
+#   * the timing-sensitive suites repeated 20 times (flake leg),
 #   * ThreadSanitizer over the concurrency-heavy suites (the runtime,
 #     comm layer and tracer are lock-free on their hot paths),
+#   * AddressSanitizer + UndefinedBehaviorSanitizer over the suites that
+#     index tile buffers with raw arithmetic (interpreter, fuzz, recovery,
+#     tiling, codegen passes),
 #   * a -DDPGEN_TRACE=0 build proving the tracing macro path compiles
 #     and the suite still passes with every span compiled out,
 #   * a Release (-O2 -DNDEBUG) build-and-bench smoke: bench_hotpath with
@@ -241,6 +245,12 @@ if [[ "${1:-}" != "--quick" ]]; then
     "$b"
   done
 
+  echo "==== flake leg (timing-sensitive suites, 20 repeats)"
+  # These suites assert on clock stamps, samplers and thread interleavings;
+  # a failure in any of 20 repeats is a flake to fix at its source.
+  ctest --test-dir build -j"$(nproc)" -R 'MsgTrace|Monitor|Chaos|Profile' \
+    --repeat until-fail:20
+
   echo "==== ThreadSanitizer pass (minimpi / runtime / obs / engine)"
   # OpenMP is disabled in this flavour: libgomp is not TSan-instrumented,
   # so its pool-thread barriers are invisible and every cross-region
@@ -271,6 +281,21 @@ if [[ "${1:-}" != "--quick" ]]; then
   ctest --test-dir build-tsan --output-on-failure \
     -R 'MiniMpi|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|TableState|Profile|SchemaRegistry|MsgTrace' \
     -E 'ChaosSoak.Replay100'
+
+  echo "==== AddressSanitizer + UBSan pass (engine / fuzz / recovery / tiling)"
+  # The interpreter's row walk and the pack/unpack runs index tile buffers
+  # with raw arithmetic, so these suites run with out-of-bounds and
+  # undefined-behaviour checks; test_codegen_passes compiles its generated
+  # programs with the same flags (DPGEN_EXTRA_CXX_FLAGS).
+  asan_tests="test_engine test_fuzz test_recovery test_tiling test_codegen_passes"
+  cmake -B build-asan -G Ninja \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer"
+  # shellcheck disable=SC2086
+  cmake --build build-asan --target $asan_tests
+  for t in $asan_tests; do
+    "build-asan/tests/$t"
+  done
 
   echo "==== DPGEN_TRACE=0 pass (tracing compiled out)"
   cmake -B build-notrace -G Ninja -DDPGEN_TRACE=OFF

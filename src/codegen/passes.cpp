@@ -1,7 +1,5 @@
 #include "codegen/passes.hpp"
 
-#include <map>
-
 #include "codegen/emit.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
@@ -122,51 +120,12 @@ bool ivdep_legal(const tiling::TilingModel& model) {
 // ---- CenterLoopIR ----------------------------------------------------------
 
 CenterLoopIR CenterLoopIR::lift(const tiling::TilingModel& model) {
-  const spec::ProblemSpec& spec = model.problem();
-  const int d = model.dim();
-  const int p = model.nparams();
-  const int n_ext = model.ext_vars().size();
-  const std::vector<std::string>& orig_names = spec.space().vars().names();
-
-  // Original table is (params, x); lift x_k to the local index i_k and add
-  // the w_k * t_k contribution of x_k = i_k + w_k * t_k afterwards.
-  std::vector<int> map(orig_names.size(), 0);
-  for (int i = 0; i < p; ++i) map[static_cast<std::size_t>(i)] = i;
-  for (int k = 0; k < d; ++k)
-    map[static_cast<std::size_t>(spec.space_var(k))] = model.ext_local(k);
-
+  const std::vector<std::string>& orig_names =
+      model.problem().space().vars().names();
   CenterLoopIR ir;
-  ir.nest = &model.local_nest();
-  ir.dep_checks.resize(spec.deps().size());
-  // Shared-check numbering must match the emitted dp_chk indices: first
-  // encounter over (dependency, check) order assigns the next index.
-  std::map<std::string, int> shared;
-  for (std::size_t j = 0; j < spec.deps().size(); ++j) {
-    for (const auto& c : model.validity_checks(static_cast<int>(j))) {
-      std::string rendered =
-          cat("(", expr_cpp(c.expr, orig_names),
-              c.rel == poly::Rel::Ge ? ") >= 0" : ") == 0");
-      auto [it, inserted] =
-          shared.emplace(rendered, static_cast<int>(shared.size()));
-      if (inserted) {
-        CenterCheck cc;
-        cc.rendered = rendered;
-        cc.ext = c.expr.remapped(map, n_ext);
-        for (int k = 0; k < d; ++k) {
-          Int a = c.expr.coef(spec.space_var(k));
-          if (a == 0) continue;
-          int tk = model.ext_tile(k);
-          cc.ext.set_coef(
-              tk, add_ck(cc.ext.coef(tk),
-                         mul_ck(a, spec.widths()[static_cast<std::size_t>(k)])));
-        }
-        cc.rel = c.rel;
-        cc.inner_coef = cc.ext.coef(model.ext_local(d - 1));
-        ir.checks.push_back(std::move(cc));
-      }
-      ir.dep_checks[j].push_back(it->second);
-    }
-  }
+  for (const tiling::ValidityCheck& c : model.validity_checks())
+    ir.rendered.push_back(cat("(", expr_cpp(c.expr, orig_names),
+                              c.rel == poly::Rel::Ge ? ") >= 0" : ") == 0"));
   ir.ivdep_legal = codegen::ivdep_legal(model);
   return ir;
 }
@@ -225,18 +184,19 @@ void emit_cell_body(Writer& ww, const tiling::TilingModel& m,
                 ";"));
   }
   // Validity flags (paper IV.G), shared across dependencies.
-  for (std::size_t i = 0; i < ir.checks.size(); ++i) {
+  for (std::size_t i = 0; i < ir.rendered.size(); ++i) {
     bool forced = force_true && (*force_true)[i];
     ww.line(cat("const bool dp_chk_", i, " = ",
-                forced ? "true" : ir.checks[i].rendered, ";"));
+                forced ? "true" : ir.rendered[i], ";"));
   }
   for (std::size_t j = 0; j < spec.deps().size(); ++j) {
+    const std::vector<int>& checks = m.dep_checks(static_cast<int>(j));
     std::string cond;
-    if (ir.dep_checks[j].empty()) {
+    if (checks.empty()) {
       cond = "true";
     } else {
       std::vector<std::string> parts;
-      for (int idx : ir.dep_checks[j]) parts.push_back(cat("dp_chk_", idx));
+      for (int idx : checks) parts.push_back(cat("dp_chk_", idx));
       cond = join(parts, " && ");
     }
     ww.line(cat("const bool is_valid_", spec.deps()[j].name, " = ", cond,
@@ -403,10 +363,12 @@ void emit_center_optimized(Writer& w, const tiling::TilingModel& model,
     // Checks that vary with the innermost variable split the range; in
     // the interior segment they are identically true.  Only inequalities
     // split (an equality selects isolated points, not a subrange).
-    std::vector<bool> force(ir.checks.size(), false);
+    const std::vector<tiling::ValidityCheck>& checks =
+        model.validity_checks();
+    std::vector<bool> force(checks.size(), false);
     std::vector<std::string> lo_thr, hi_thr;
-    for (std::size_t i = 0; i < ir.checks.size(); ++i) {
-      const CenterCheck& c = ir.checks[i];
+    for (std::size_t i = 0; i < checks.size(); ++i) {
+      const tiling::ValidityCheck& c = checks[i];
       if (c.rel != poly::Rel::Ge || c.inner_coef == 0) continue;
       force[i] = true;
       poly::Bound b;

@@ -13,9 +13,9 @@
 // Three ordered passes, selectable via GenOptions::passes, rewrite the
 // innermost loop:
 //
-//  1. "canonicalize" — lifts the center loop into a small IR (CenterLoopIR:
-//     the poly::LoopNest levels plus every per-cell definition and validity
-//     check as an affine form over the extended variables), hoists the
+//  1. "canonicalize" — works from the model's lifted validity checks
+//     (every check as an affine form over the extended variables, see
+//     tiling::ValidityCheck; CenterLoopIR adds their C text), hoists the
 //     loop-invariant row base of `loc` out of the innermost loop
 //     (strength-reducing the per-cell address computation to `dp_row + i`),
 //     and splits the innermost range into head / interior / tail segments
@@ -113,27 +113,16 @@ struct LayoutPlan {
   static LayoutPlan make(const tiling::TilingModel& model, bool pad);
 };
 
-/// One validity check of the center loop, lifted to the extended
-/// variables (x_k substituted by i_k + w_k * t_k).
-struct CenterCheck {
-  std::string rendered;  ///< C test over the original names, e.g. "(x1) >= 0"
-  poly::LinExpr ext;     ///< the same affine form over the extended vars
-  poly::Rel rel = poly::Rel::Ge;
-  Int inner_coef = 0;  ///< coefficient of the innermost local variable
-};
-
-/// The center loop lifted from poly::LoopNest into pass-transformable
-/// form: the nest itself plus the per-cell definitions and checks as
-/// affine data rather than strings.
+/// The center loop's emission-side view: the C test text of every
+/// validity check (indexed like TilingModel::validity_checks(), i.e. by
+/// dp_chk number) plus the ivdep decision.  The affine data — lifted
+/// forms, innermost coefficients, per-dependency check lists — lives in
+/// the model, which the interpreted engine runs from too.
 struct CenterLoopIR {
-  const poly::LoopNest* nest = nullptr;
-  std::vector<CenterCheck> checks;          ///< indexed by dp_chk number
-  std::vector<std::vector<int>> dep_checks; ///< check indices per dependency
+  std::vector<std::string> rendered;  ///< e.g. "(x1) >= 0", per check
   bool ivdep_legal = false;
 
-  /// Lifts the model's local nest: dedups the validity checks across
-  /// dependencies exactly like the plain emission (shared dp_chk
-  /// indices), lifts each to the extended table, and decides ivdep
+  /// Renders the model's checks over the original names and decides ivdep
   /// legality.
   static CenterLoopIR lift(const tiling::TilingModel& model);
 };

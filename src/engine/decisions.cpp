@@ -1,5 +1,7 @@
 #include "engine/decisions.hpp"
 
+#include <algorithm>
+
 #include "engine/interpret.hpp"
 #include "support/str.hpp"
 
@@ -27,13 +29,17 @@ unsigned char DecisionLog::decision_at(const tiling::TilingModel& model,
   DPGEN_CHECK(it != runs_.end(),
               cat("no decisions recorded for the tile containing ",
                   vec_to_string(point)));
-  // Index of the point within the tile's scan order.
-  Int index = -1, i = 0;
-  model.for_each_cell(params, tile,
-                      [&](const IntVec&, const IntVec& global) {
-                        if (global == point) index = i;
-                        ++i;
-                      });
+  // Index of the point within the tile's scan order: the cells of the
+  // rows before its row, then its position along the row.
+  const auto last = point.size() - 1;
+  Int index = -1, before = 0;
+  model.for_each_row(params, tile, [&](const tiling::CellRow& row) {
+    const Int i = point[last] - row.x_inner;
+    if (index < 0 && i >= row.lo && i <= row.hi &&
+        std::equal(row.x, row.x + last, point.begin()))
+      index = before + (row.ascending ? i - row.lo : row.hi - i);
+    before += row.hi - row.lo + 1;
+  });
   DPGEN_CHECK(index >= 0, cat("point ", vec_to_string(point),
                               " is not a cell of its tile"));
   for (const Run& r : it->second) {

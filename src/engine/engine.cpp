@@ -79,7 +79,10 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
 
   void execute_tile(const IntVec& tile, double* buffer) override {
     if (decision_log_) {
-      std::vector<unsigned char> decisions;
+      // Per-thread scratch like the rest of the hot path: the log copies
+      // the bytes into its run-length encoding, so the vector is reusable.
+      thread_local std::vector<unsigned char> decisions;
+      decisions.clear();
       detail::execute_tile_interpreted(model_, params_, tile, center_,
                                        buffer, &decisions);
       decision_log_->record(tile, decisions);
@@ -96,15 +99,18 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
       bool have = false;
       double best = 0.0;
       IntVec best_point;
-      model_.for_each_cell(
-          params_, tile, [&](const IntVec& local, const IntVec& global) {
-            double v = buffer[model_.local_index(local)];
-            if (!have || v > best || (v == best && global < best_point)) {
-              have = true;
-              best = v;
-              best_point = global;
-            }
-          });
+      IntVec global(static_cast<std::size_t>(model_.dim()));
+      model_.for_each_row(params_, tile, [&](const tiling::CellRow& row) {
+        for (Int i = row.lo; i <= row.hi; ++i) {
+          double v = buffer[row.loc + i];
+          row.point(i, global);
+          if (!have || v > best || (v == best && global < best_point)) {
+            have = true;
+            best = v;
+            best_point = global;
+          }
+        }
+      });
       if (have) {
         std::lock_guard<std::mutex> lock(recorder_.mu);
         if (!recorder_.have_max || best > recorder_.max_value ||
@@ -119,11 +125,13 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
     if (!recorder_.record_all && recorder_.probes.empty()) return;
     if (recorder_.record_all) {
       std::lock_guard<std::mutex> lock(recorder_.mu);
-      model_.for_each_cell(params_, tile,
-                           [&](const IntVec& local, const IntVec& global) {
-                             recorder_.values[global] =
-                                 buffer[model_.local_index(local)];
-                           });
+      IntVec global(static_cast<std::size_t>(model_.dim()));
+      model_.for_each_row(params_, tile, [&](const tiling::CellRow& row) {
+        for (Int i = row.lo; i <= row.hi; ++i) {
+          row.point(i, global);
+          recorder_.values[global] = buffer[row.loc + i];
+        }
+      });
       return;
     }
     const int d = model_.dim();

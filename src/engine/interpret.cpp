@@ -11,43 +11,112 @@ void execute_tile_interpreted(const tiling::TilingModel& model,
                               const IntVec& params, const IntVec& tile,
                               const CenterFn& center, double* buffer,
                               std::vector<unsigned char>* decisions) {
-  const int d = model.dim();
-  const int p = model.nparams();
-  const auto& deps = model.problem().deps();
-  const auto ndeps = deps.size();
+  const auto last = static_cast<std::size_t>(model.dim() - 1);
+  const auto ndeps = model.problem().deps().size();
+  const auto& checks = model.validity_checks();
 
   // Per-thread scratch: execute runs once per tile on the hot path and
   // must not allocate in steady state.
   thread_local std::vector<Int> loc_dep;
+  thread_local std::vector<Int> offsets;
   thread_local std::vector<unsigned char> valid;
-  thread_local IntVec orig_point;
+  thread_local std::vector<unsigned char> row_valid;
+  thread_local IntVec x;
   loc_dep.assign(ndeps, 0);
+  offsets.resize(ndeps);
+  for (std::size_t j = 0; j < ndeps; ++j)
+    offsets[j] = model.dep_loc_offset(static_cast<int>(j));
   valid.assign(ndeps, 0);
-  orig_point.assign(static_cast<std::size_t>(p + d), 0);
-  std::copy(params.begin(), params.end(), orig_point.begin());
+  row_valid.assign(ndeps, 0);
+  x.assign(last + 1, 0);
+
+  // An equality that varies along the row holds at isolated cells, so it
+  // stays a per-cell test even in the interior.
+  bool interior_eq = false;
+  for (const auto& c : checks)
+    if (c.rel == poly::Rel::Eq && c.inner_coef != 0) interior_eq = true;
+
+  // The per-cell loop goes through plain pointers, not the thread_local
+  // vectors (each thread_local access may cost a TLS lookup).
+  Int* const loc_dep_p = loc_dep.data();
+  const Int* const offsets_p = offsets.data();
+  unsigned char* const valid_p = valid.data();
+  unsigned char* const row_valid_p = row_valid.data();
+  Int* const x_p = x.data();
 
   unsigned char decision_slot = 0;
   Cell cell;
   cell.V = buffer;
-  cell.loc_dep = loc_dep.data();
-  cell.valid = valid.data();
+  cell.loc_dep = loc_dep_p;
+  cell.valid = valid_p;
+  cell.x = x_p;
   cell.params = params.data();
   cell.decision = &decision_slot;
 
-  model.for_each_cell_fast(
-      params, tile, [&](const IntVec& local, const IntVec& global) {
-        cell.loc = model.local_index(local);
-        for (std::size_t j = 0; j < ndeps; ++j)
-          loc_dep[j] = cell.loc + model.dep_loc_offset(static_cast<int>(j));
-        std::copy(global.begin(), global.end(), orig_point.begin() + p);
-        for (std::size_t j = 0; j < ndeps; ++j)
-          valid[j] =
-              model.dep_valid_at(orig_point, static_cast<int>(j)) ? 1 : 0;
-        cell.x = global.data();
-        decision_slot = 0;
-        center(cell);
-        if (decisions) decisions->push_back(decision_slot);
-      });
+  auto holds = [](const tiling::ValidityCheck& c, Int value) {
+    return c.rel == poly::Rel::Ge ? value >= 0 : value == 0;
+  };
+
+  model.for_each_row(params, tile, [&](const tiling::CellRow& row) {
+    std::copy(row.x, row.x + last, x_p);
+    for (std::size_t j = 0; j < ndeps; ++j) {
+      unsigned char ok = 1;
+      for (int c : model.dep_checks(static_cast<int>(j))) {
+        const auto cs = static_cast<std::size_t>(c);
+        if (checks[cs].inner_coef == 0 &&
+            !holds(checks[cs], row.check_base[cs]))
+          ok = 0;
+      }
+      row_valid_p[j] = ok;
+    }
+    // Per-cell validity from the checks that vary along the row; on the
+    // interior the split already guarantees the Ge ones.
+    auto set_valid = [&](Int i, bool interior) {
+      for (std::size_t j = 0; j < ndeps; ++j) {
+        unsigned char ok = row_valid_p[j];
+        for (int c : model.dep_checks(static_cast<int>(j))) {
+          const auto cs = static_cast<std::size_t>(c);
+          const tiling::ValidityCheck& ch = checks[cs];
+          if (!ok) break;
+          if (ch.inner_coef == 0 || (interior && ch.rel == poly::Rel::Ge))
+            continue;
+          ok = holds(ch, add_ck(row.check_base[cs], mul_ck(ch.inner_coef, i)));
+        }
+        valid_p[j] = ok;
+      }
+    };
+    const Int row_loc = row.loc;
+    const Int x_inner = row.x_inner;
+    auto visit = [&](Int i) {
+      const Int loc = row_loc + i;
+      cell.loc = loc;
+      for (std::size_t j = 0; j < ndeps; ++j) loc_dep_p[j] = loc + offsets_p[j];
+      x_p[last] = x_inner + i;
+      decision_slot = 0;
+      center(cell);
+      if (decisions) decisions->push_back(decision_slot);
+    };
+    auto edge_cell = [&](Int i) {
+      set_valid(i, false);
+      visit(i);
+    };
+    auto interior_cell = [&](Int i) {
+      if (interior_eq) set_valid(i, true);
+      visit(i);
+    };
+    // Head, interior and tail in scan order (reversed when descending).
+    if (row.ascending) {
+      for (Int i = row.lo; i < row.sa; ++i) edge_cell(i);
+      if (!interior_eq) std::copy(row_valid_p, row_valid_p + ndeps, valid_p);
+      for (Int i = row.sa; i <= row.sb; ++i) interior_cell(i);
+      for (Int i = row.sb + 1; i <= row.hi; ++i) edge_cell(i);
+    } else {
+      for (Int i = row.hi; i > row.sb; --i) edge_cell(i);
+      if (!interior_eq) std::copy(row_valid_p, row_valid_p + ndeps, valid_p);
+      for (Int i = row.sb; i >= row.sa; --i) interior_cell(i);
+      for (Int i = row.sa - 1; i >= row.lo; --i) edge_cell(i);
+    }
+  });
 }
 
 void unpack_interpreted(const tiling::TilingModel& model,

@@ -9,8 +9,12 @@ namespace dpgen::engine::detail {
 
 /// Runs the tile's local loop nest over `buffer`, invoking `center` per
 /// cell with mapping functions and validity flags set up (the interpreted
-/// equivalent of the generated Fig. 3 loop nest).  When `decisions` is
-/// non-null, the per-cell Cell::decision bytes are appended in scan order.
+/// equivalent of the generated Fig. 3 loop nest).  Walks the tile row by
+/// row (TilingModel::for_each_row) like the canonicalized generated loop:
+/// `loc` is the row base plus the innermost index, and on each row's
+/// interior only the row-invariant checks decide validity.  When
+/// `decisions` is non-null, the per-cell Cell::decision bytes are
+/// appended in scan order.
 void execute_tile_interpreted(const tiling::TilingModel& model,
                               const IntVec& params, const IntVec& tile,
                               const CenterFn& center, double* buffer,

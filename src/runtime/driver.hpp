@@ -503,12 +503,12 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
           ed.msg.pack_ns = msg->env.pack_ns;
           ed.msg.send_ns = msg->env.send_ns;
           ed.msg.admit_ns = msg->env.admit_ns;
-          // One stamp per drain sweep: every message pulled while the
-          // poll lock is held was sitting in the mailbox at the same
-          // instant, so they share a deliver time (and the hot path pays
-          // one clock read per sweep, not per message).
+          // One clock read per drain sweep, not per message.  A message
+          // admitted after that read (while the sweep was still draining)
+          // is delivered no earlier than its admission, so the stamp is
+          // clamped to admit_ns to keep the lifecycle monotone.
           if (batch_deliver_ns == 0) batch_deliver_ns = obs::MsgTracer::now_ns();
-          ed.msg.deliver_ns = batch_deliver_ns;
+          ed.msg.deliver_ns = std::max(batch_deliver_ns, msg->env.admit_ns);
           ed.msg.bytes = static_cast<std::int64_t>(msg->payload.size());
           ed.msg.src = static_cast<std::int16_t>(msg->source);
           ed.msg.dst = static_cast<std::int16_t>(rank);

@@ -235,7 +235,13 @@ TilingModel::TilingModel(spec::ProblemSpec problem) : spec_(std::move(problem)) 
   }
 
   // ---- validity checks (IV.G) -------------------------------------------------
-  validity_.resize(spec_.deps().size());
+  // Original table is (params, x); lifting moves x_k to the local index i_k
+  // and adds the w_k * t_k contribution of x_k = i_k + w_k * t_k.
+  std::vector<int> lift_map(spec_.space().vars().names().size(), 0);
+  for (int i = 0; i < p_; ++i) lift_map[static_cast<std::size_t>(i)] = i;
+  for (int k = 0; k < d_; ++k)
+    lift_map[static_cast<std::size_t>(spec_.space_var(k))] = ext_local(k);
+  dep_checks_.resize(spec_.deps().size());
   for (std::size_t j = 0; j < spec_.deps().size(); ++j) {
     const IntVec& r = spec_.deps()[j].vec;
     for (const auto& c : spec_.space().constraints()) {
@@ -244,21 +250,31 @@ TilingModel::TilingModel(spec::ProblemSpec problem) : spec_(std::move(problem)) 
         shift = add_ck(shift,
                        mul_ck(c.e.coef(spec_.space_var(k)),
                               r[static_cast<std::size_t>(k)]));
-      if (c.rel == poly::Rel::Ge) {
-        if (shift >= 0) continue;  // satisfied at x implies satisfied at x+r
-        ValidityCheck v;
-        v.expr = c.e;
-        v.expr.c = add_ck(v.expr.c, shift);
-        v.rel = poly::Rel::Ge;
-        validity_[j].push_back(std::move(v));
-      } else {
-        if (shift == 0) continue;
-        ValidityCheck v;
-        v.expr = c.e;
-        v.expr.c = add_ck(v.expr.c, shift);
-        v.rel = poly::Rel::Eq;
-        validity_[j].push_back(std::move(v));
+      // A Ge constraint satisfied at x stays satisfied at x + r when the
+      // shift is non-negative; an equality only when it is zero.
+      if (c.rel == poly::Rel::Ge ? shift >= 0 : shift == 0) continue;
+      ValidityCheck v;
+      v.expr = c.e;
+      v.expr.c = add_ck(v.expr.c, shift);
+      v.rel = c.rel;
+      auto same = [&](const ValidityCheck& o) {
+        return o.rel == v.rel && o.expr == v.expr;
+      };
+      auto it = std::find_if(checks_.begin(), checks_.end(), same);
+      if (it == checks_.end()) {
+        v.ext = v.expr.remapped(lift_map, n_ext);
+        for (int k = 0; k < d_; ++k) {
+          Int a = v.expr.coef(spec_.space_var(k));
+          v.ext.set_coef(ext_tile(k),
+                         mul_ck(a, w[static_cast<std::size_t>(k)]));
+        }
+        v.inner_coef = v.ext.coef(ext_local(d_ - 1));
+        if (v.rel == poly::Rel::Ge && v.inner_coef != 0)
+          (v.inner_coef > 0 ? split_lo_ : split_hi_)
+              .push_back(static_cast<int>(checks_.size()));
+        it = checks_.insert(checks_.end(), std::move(v));
       }
+      dep_checks_[j].push_back(static_cast<int>(it - checks_.begin()));
     }
   }
 
@@ -441,7 +457,39 @@ IntVec TilingModel::global_of(const IntVec& tile, const IntVec& local) const {
 void TilingModel::for_each_cell(
     const IntVec& params, const IntVec& tile,
     const std::function<void(const IntVec&, const IntVec&)>& fn) const {
-  for_each_cell_fast(params, tile, fn);
+  IntVec seed = ext_seed(params);
+  for (int k = 0; k < d_; ++k)
+    seed[static_cast<std::size_t>(ext_tile(k))] =
+        tile[static_cast<std::size_t>(k)];
+  IntVec local(static_cast<std::size_t>(d_));
+  poly::for_each_point(local_nest_, seed, [&](const IntVec& pt) {
+    for (int k = 0; k < d_; ++k)
+      local[static_cast<std::size_t>(k)] =
+          pt[static_cast<std::size_t>(ext_local(k))];
+    fn(local, global_of(tile, local));
+  });
+}
+
+void TilingModel::split_row(IntVec& pt, std::vector<Int>& base,
+                            CellRow& row) const {
+  pt[static_cast<std::size_t>(ext_local(d_ - 1))] = 0;
+  for (std::size_t c = 0; c < checks_.size(); ++c)
+    base[c] = checks_[c].ext.eval(pt);
+  // a*i + base >= 0 holds for i >= ceil(-base / a) when a > 0 and for
+  // i <= floor(base / -a) when a < 0.  The clamps keep head, interior and
+  // tail an exact partition of [lo, hi] when the interior is empty.
+  Int sa = row.lo;
+  for (int c : split_lo_) {
+    auto cs = static_cast<std::size_t>(c);
+    sa = std::max(sa, ceil_div(neg_ck(base[cs]), checks_[cs].inner_coef));
+  }
+  Int sb = row.hi;
+  for (int c : split_hi_) {
+    auto cs = static_cast<std::size_t>(c);
+    sb = std::min(sb, floor_div(base[cs], neg_ck(checks_[cs].inner_coef)));
+  }
+  row.sa = std::min(sa, add_ck(row.hi, 1));
+  row.sb = std::max(sub_ck(row.sa, 1), sb);
 }
 
 Int CellCountFn::count(const IntVec& tile) const {
@@ -561,7 +609,8 @@ Int TilingModel::tile_count_lb(const IntVec& params,
 }
 
 bool TilingModel::dep_valid_at(const IntVec& orig_point, int dep) const {
-  for (const auto& v : validity_[static_cast<std::size_t>(dep)]) {
+  for (int c : dep_checks_[static_cast<std::size_t>(dep)]) {
+    const ValidityCheck& v = checks_[static_cast<std::size_t>(c)];
     Int val = v.expr.eval(orig_point);
     if (v.rel == poly::Rel::Ge ? val < 0 : val != 0) return false;
   }

@@ -10,7 +10,8 @@
 //   * tile dependency offsets derived from the template vectors,
 //   * ghost-cell geometry, buffer strides and the constant mapping-function
 //     offsets (loc, loc_r1, ...),
-//   * per-dependency validity checks (is_valid_r1, ...),
+//   * per-dependency validity checks (is_valid_r1, ...), lifted to the
+//     extended variables so both executors split tile rows on them,
 //   * pack/unpack iteration spaces for every tile edge,
 //   * the face systems used to find the initial (dependency-free) tiles.
 //
@@ -18,6 +19,7 @@
 // the code generator (emitted C++), so generated programs and engine runs
 // share one definition of the schedule.
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,10 +34,41 @@ namespace dpgen::tiling {
 /// One runtime validity check for a dependency: the original-space
 /// constraint shifted by the template vector.  `expr` is over the original
 /// space variables (params, x); the dependency access is valid only when
-/// every check's expr evaluates >= 0 (Ge) or == 0 (Eq).
+/// every check's expr evaluates >= 0 (Ge) or == 0 (Eq).  `ext` is the same
+/// form lifted to the extended variables (x_k = i_k + w_k t_k), which is
+/// what both executors evaluate: along one row of a tile it is
+/// base + inner_coef * i, with i the innermost local index.
 struct ValidityCheck {
   poly::LinExpr expr;
   poly::Rel rel = poly::Rel::Ge;
+  poly::LinExpr ext;
+  Int inner_coef = 0;  ///< coefficient of the innermost local variable
+};
+
+/// One row of a tile's local scan: the innermost loop at fixed outer local
+/// indices (TilingModel::for_each_row).  Cell i of the row (lo <= i <= hi,
+/// i the innermost local index) sits at buffer index loc + i and has
+/// original coordinates (x[0], ..., x[d-2], x_inner + i).  The row splits
+/// into head [lo, sa-1], interior [sa, sb] and tail [sb+1, hi], an exact
+/// partition even when the interior is empty: on the interior every Ge
+/// check with a nonzero inner coefficient holds, so only the row-invariant
+/// checks and the row-varying equalities decide validity there.
+struct CellRow {
+  Int loc = 0;
+  const Int* x = nullptr;  ///< the d-1 outer original coordinates
+  Int x_inner = 0;         ///< w_{d-1} * t_{d-1}
+  Int lo = 0, hi = 0;
+  Int sa = 0, sb = 0;
+  /// Per validity check (TilingModel::validity_checks() order): its ext
+  /// form evaluated on this row at i = 0.
+  const Int* check_base = nullptr;
+  bool ascending = true;  ///< scan direction of the innermost level
+
+  /// Writes the original coordinates of cell i into `out` (size d).
+  void point(Int i, IntVec& out) const {
+    std::copy(x, x + (out.size() - 1), out.begin());
+    out.back() = x_inner + i;
+  }
 };
 
 /// One tile edge: data flowing from producer tile q to consumer tile
@@ -170,37 +203,65 @@ class TilingModel {
   IntVec global_of(const IntVec& tile, const IntVec& local) const;
 
   // ---- local iteration (paper IV.L) -----------------------------------------
-  /// Scans the cells of tile t in loop order; fn receives the local
-  /// coordinate (interior only) and the global coordinate.
+  /// Scans the cells of tile t in loop order, one point of the local nest
+  /// at a time; fn receives the local coordinate (interior only) and the
+  /// global coordinate.  The reference scan: executors use for_each_row.
   void for_each_cell(
       const IntVec& params, const IntVec& tile,
       const std::function<void(const IntVec& local, const IntVec& global)>& fn)
       const;
 
-  /// Template variant of for_each_cell for the execute hot path: no
-  /// std::function wrapper (whose capturing closure allocates per call)
-  /// and per-thread scratch, so the scan is allocation-free in steady
-  /// state.
+  /// Scans the non-empty rows of tile t in loop order, calling fn(const
+  /// CellRow&) once per row; visiting each row's cells from lo to hi
+  /// (ascending) or hi to lo reproduces for_each_cell's order.  The outer
+  /// levels are walked once per row and the row's check bases and
+  /// interior split are computed once, which is what lets the interpreter
+  /// strength-reduce its per-cell work like the generated centre loop.  A
+  /// template over per-thread scratch: allocation-free in steady state.
   template <typename Fn>
-  void for_each_cell_fast(const IntVec& params, const IntVec& tile,
-                          Fn&& fn) const {
-    thread_local IntVec seed;
-    thread_local IntVec local;
-    thread_local IntVec global;
-    ext_seed_into(params, seed);
+  void for_each_row(const IntVec& params, const IntVec& tile, Fn&& fn) const {
+    thread_local IntVec pt;
+    thread_local IntVec x;
+    thread_local std::vector<Int> base;
+    ext_seed_into(params, pt);
     for (int k = 0; k < d_; ++k)
-      seed[static_cast<std::size_t>(ext_tile(k))] =
+      pt[static_cast<std::size_t>(ext_tile(k))] =
           tile[static_cast<std::size_t>(k)];
-    local.assign(static_cast<std::size_t>(d_), 0);
-    global.assign(static_cast<std::size_t>(d_), 0);
-    poly::for_each_point_inplace(local_nest_, seed, [&](const IntVec& pt) {
-      for (int k = 0; k < d_; ++k) {
-        auto ks = static_cast<std::size_t>(k);
-        local[ks] = pt[static_cast<std::size_t>(ext_local(k))];
-        global[ks] = local[ks] + spec_.widths()[ks] * tile[ks];
+    x.assign(static_cast<std::size_t>(d_), 0);
+    base.assign(checks_.size(), 0);
+    const int last = d_ - 1;
+    CellRow row;
+    row.x = x.data();
+    row.check_base = base.data();
+    row.x_inner = mul_ck(spec_.widths()[static_cast<std::size_t>(last)],
+                         tile[static_cast<std::size_t>(last)]);
+    row.ascending = local_nest_.dir(last) >= 0;
+    auto rec = [&](auto&& self, int level, Int loc) -> void {
+      auto [lo, hi] = local_nest_.range(level, pt);
+      if (level == last) {
+        if (lo > hi) return;
+        row.loc = loc;
+        row.lo = lo;
+        row.hi = hi;
+        split_row(pt, base, row);
+        fn(static_cast<const CellRow&>(row));
+        return;
       }
-      fn(static_cast<const IntVec&>(local), static_cast<const IntVec&>(global));
-    });
+      const auto ks = static_cast<std::size_t>(level);
+      const auto v = static_cast<std::size_t>(ext_local(level));
+      const Int xt = mul_ck(spec_.widths()[ks], tile[ks]);
+      auto step = [&](Int i) {
+        pt[v] = i;
+        x[ks] = add_ck(xt, i);
+        self(self, level + 1, add_ck(loc, mul_ck(strides_[ks], i)));
+      };
+      if (local_nest_.dir(level) >= 0) {
+        for (Int i = lo; i <= hi; ++i) step(i);
+      } else {
+        for (Int i = hi; i >= lo; --i) step(i);
+      }
+    };
+    rec(rec, 0, ghost_base());
   }
 
   /// Number of cells in tile t (the tile's work).
@@ -220,12 +281,17 @@ class TilingModel {
   Int tile_count_lb(const IntVec& params, const IntVec& lb_values) const;
 
   // ---- validity (paper IV.G) ---------------------------------------------------
-  /// Checks for dependency j, expressed over the original space variables.
-  const std::vector<ValidityCheck>& validity_checks(int dep) const {
-    return validity_[static_cast<std::size_t>(dep)];
+  /// Every distinct validity check, deduplicated across dependencies and
+  /// numbered in first-encounter (dependency, check) order — the numbering
+  /// of the generated program's shared dp_chk_<n> flags.
+  const std::vector<ValidityCheck>& validity_checks() const { return checks_; }
+  /// Indices into validity_checks() of dependency j's checks.
+  const std::vector<int>& dep_checks(int dep) const {
+    return dep_checks_[static_cast<std::size_t>(dep)];
   }
   /// True when x + r_j is inside the iteration space; `orig_point` is the
-  /// full original-space assignment (params then x).
+  /// full original-space assignment (params then x).  The per-point
+  /// reference for the row-split checks (and the serial executor's test).
   bool dep_valid_at(const IntVec& orig_point, int dep) const;
 
   // ---- packing (paper IV.I) ------------------------------------------------------
@@ -317,6 +383,11 @@ class TilingModel {
   /// Allocation-free ext_seed: fills `seed` in place (capacity persists
   /// when the caller reuses the same scratch vector).
   void ext_seed_into(const IntVec& params, IntVec& seed) const;
+  /// for_each_row's per-row step: evaluates every check's base at `pt`
+  /// (innermost local reset to 0) and clamps row.sa/sb from the Ge checks
+  /// with a nonzero inner coefficient — the same bounds the canonicalized
+  /// generated loop computes as dp_sa/dp_sb.
+  void split_row(IntVec& pt, std::vector<Int>& base, CellRow& row) const;
 
   spec::ProblemSpec spec_;
   int p_ = 0;
@@ -337,7 +408,9 @@ class TilingModel {
   std::vector<poly::LoopNest> pack_nests_;  // one per edge
   std::vector<Int> unpack_shifts_;          // one per edge
 
-  std::vector<std::vector<ValidityCheck>> validity_;  // per dependency
+  std::vector<ValidityCheck> checks_;          // deduplicated, lifted
+  std::vector<std::vector<int>> dep_checks_;   // per dependency
+  std::vector<int> split_lo_, split_hi_;       // Ge, inner coef > 0 / < 0
 
   std::vector<poly::System> face_systems_;  // initial-tile candidates
   std::vector<poly::LoopNest> face_nests_;

@@ -121,13 +121,14 @@ TEST(CodegenPassesIR, LiftsDeduplicatedChecks) {
 
   // Three dependencies share the t <= T check; the lateral s-bounds are
   // unique to up_left / up_right: three deduplicated checks in all.
-  ASSERT_EQ(ir.checks.size(), 3u);
-  ASSERT_EQ(ir.dep_checks.size(), 3u);
+  const auto& checks = model.validity_checks();
+  ASSERT_EQ(checks.size(), 3u);
+  ASSERT_EQ(ir.rendered.size(), 3u);
+  for (const std::string& r : ir.rendered) EXPECT_FALSE(r.empty());
+  for (int j = 0; j < 3; ++j) EXPECT_FALSE(model.dep_checks(j).empty());
   int pos = 0, neg = 0, zero = 0;
-  for (const CenterCheck& c : ir.checks) {
-    EXPECT_FALSE(c.rendered.empty());
+  for (const tiling::ValidityCheck& c : checks)
     (c.inner_coef > 0 ? pos : c.inner_coef < 0 ? neg : zero)++;
-  }
   // s - 1 >= 0 (inner coefficient +1), S - s - 1 >= 0 (-1), and the
   // invariant t-check (0).
   EXPECT_EQ(pos, 1);

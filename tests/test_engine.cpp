@@ -8,7 +8,10 @@
 #include <cmath>
 
 #include "engine/engine.hpp"
+#include "engine/interpret.hpp"
+#include "fuzz_util.hpp"
 #include "problems/problems.hpp"
+#include "support/str.hpp"
 
 namespace dpgen::engine {
 namespace {
@@ -364,6 +367,199 @@ TEST(EngineMonitor, StallWarningFiresAtHalfTheTimeout) {
   opt.monitor = &monitor;
   EXPECT_THROW(runtime::run_node<double>(hooks, world.comm(0), opt), Error);
   EXPECT_GE(monitor.stall_warnings(), 1);
+}
+
+
+// ---- row walker conformance ---------------------------------------------
+//
+// The interpreter walks each tile row by row and splits every row into
+// head / interior / tail (TilingModel::for_each_row).  These tests hold
+// it to the per-point reference: for every cell of every tile, the Cell a
+// CenterFn sees must carry exactly local_index, dep_loc_offset, global_of
+// and dep_valid_at, in for_each_cell's order, with the decision bytes in
+// that order too.
+
+/// What one CenterFn call observed.
+struct SeenCell {
+  Int loc = 0;
+  std::vector<Int> loc_dep;
+  IntVec x;
+  std::vector<int> valid;
+};
+
+/// Row-shape counts, so each family proves it reached the split cases.
+struct RowShapes {
+  long long rows = 0;
+  long long empty_interior = 0;  // sa > sb
+  long long with_head_or_tail = 0;
+};
+
+RowShapes expect_walker_conforms(const tiling::TilingModel& m,
+                                 const IntVec& params) {
+  SCOPED_TRACE(cat(m.problem().problem_name(), " widths ",
+                   vec_to_string(m.problem().widths()), " params ",
+                   vec_to_string(params)));
+  const int d = m.dim();
+  const auto ndeps = m.problem().deps().size();
+  std::vector<double> buffer(static_cast<std::size_t>(m.buffer_size()));
+  RowShapes shapes;
+  m.for_each_tile(params, [&](const IntVec& tile) {
+    if (::testing::Test::HasFailure()) return;
+    SCOPED_TRACE(cat("tile ", vec_to_string(tile)));
+    std::vector<SeenCell> got;
+    std::vector<unsigned char> decisions;
+    CenterFn record = [&](const Cell& c) {
+      SeenCell s;
+      s.loc = c.loc;
+      s.loc_dep.assign(c.loc_dep, c.loc_dep + ndeps);
+      s.x.assign(c.x, c.x + d);
+      s.valid.assign(c.valid, c.valid + ndeps);
+      *c.decision = static_cast<unsigned char>(got.size() * 7 + 1);
+      got.push_back(std::move(s));
+    };
+    detail::execute_tile_interpreted(m, params, tile, record, buffer.data(),
+                                     &decisions);
+
+    std::vector<SeenCell> want;
+    IntVec orig = params;
+    orig.resize(params.size() + static_cast<std::size_t>(d));
+    m.for_each_cell(params, tile, [&](const IntVec& local,
+                                      const IntVec& global) {
+      SeenCell s;
+      s.loc = m.local_index(local);
+      s.x = m.global_of(tile, local);
+      EXPECT_EQ(s.x, global);
+      std::copy(global.begin(), global.end(), orig.begin() + params.size());
+      for (std::size_t j = 0; j < ndeps; ++j) {
+        s.loc_dep.push_back(s.loc + m.dep_loc_offset(static_cast<int>(j)));
+        s.valid.push_back(m.dep_valid_at(orig, static_cast<int>(j)) ? 1 : 0);
+      }
+      want.push_back(std::move(s));
+    });
+
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(decisions.size(), got.size());
+    for (std::size_t n = 0; n < got.size(); ++n) {
+      SCOPED_TRACE(cat("cell #", n, " at ", vec_to_string(want[n].x)));
+      ASSERT_EQ(got[n].x, want[n].x);  // also pins the visit order
+      ASSERT_EQ(got[n].loc, want[n].loc);
+      ASSERT_EQ(got[n].loc_dep, want[n].loc_dep);
+      ASSERT_EQ(got[n].valid, want[n].valid);
+      ASSERT_EQ(decisions[n], static_cast<unsigned char>(n * 7 + 1));
+    }
+
+    m.for_each_row(params, tile, [&](const tiling::CellRow& row) {
+      ++shapes.rows;
+      EXPECT_LE(row.lo, row.sa);
+      EXPECT_LE(row.sa, row.hi + 1);
+      EXPECT_LE(row.sa - 1, row.sb);
+      EXPECT_LE(row.sb, row.hi);
+      if (row.sa > row.sb) ++shapes.empty_interior;
+      if (row.sa > row.lo || row.sb < row.hi) ++shapes.with_head_or_tail;
+    });
+  });
+  return shapes;
+}
+
+TEST(InterpretConformance, Lcs) {
+  const std::vector<std::string> two{"ACGTTGCAACG", "TGCATGCAAGTCA"};
+  const std::vector<std::string> three{"ACGTTGC", "TGCATG", "GATTACA"};
+  for (Int w : {1, 3, 4, 5}) {
+    tiling::TilingModel m2(problems::lcs(two, w).spec);
+    RowShapes s = expect_walker_conforms(m2, problems::sequence_params(two));
+    EXPECT_GT(s.with_head_or_tail, 0);
+    tiling::TilingModel m3(problems::lcs(three, w).spec);
+    expect_walker_conforms(m3, problems::sequence_params(three));
+  }
+}
+
+TEST(InterpretConformance, EditDistanceAndMsa) {
+  for (Int w : {2, 3, 7}) {
+    tiling::TilingModel ed(
+        problems::edit_distance("kitten", "sitting", w).spec);
+    expect_walker_conforms(ed,
+                           problems::sequence_params({"kitten", "sitting"}));
+    const std::vector<std::string> seqs{"ACGTA", "AGTTAC", "CGTAACG"};
+    tiling::TilingModel msa(problems::msa(seqs, w).spec);
+    expect_walker_conforms(msa, problems::sequence_params(seqs));
+  }
+}
+
+TEST(InterpretConformance, LocalAndAffineAlignment) {
+  const std::string a = "TTGACACGTT", b = "GGCACACAGGA";
+  for (Int w : {2, 3, 4}) {
+    tiling::TilingModel sw(
+        problems::smith_waterman(a, b, 2.0, -1.0, -1.0, w).spec);
+    expect_walker_conforms(sw, problems::sequence_params({a, b}));
+    tiling::TilingModel aff(
+        problems::align_affine(a, b, 1.0, 3.0, 1.0, w).spec);
+    expect_walker_conforms(aff, problems::sequence_params({a, b}));
+  }
+}
+
+TEST(InterpretConformance, TrellisFamiliesSplitRows) {
+  // Lateral deps (1,-1) and (1,1) give the innermost dimension checks in
+  // both directions; widths 1 and 2 leave rows whose interior is empty.
+  RowShapes total;
+  for (Int w : {1, 2, 3, 5}) {
+    tiling::TilingModel seam(problems::seam_carving(w).spec);
+    RowShapes s = expect_walker_conforms(seam, {6, 10});
+    tiling::TilingModel trellis(problems::trellis(w).spec);
+    RowShapes t = expect_walker_conforms(trellis, {5, 11});
+    total.empty_interior += s.empty_interior + t.empty_interior;
+    total.with_head_or_tail += s.with_head_or_tail + t.with_head_or_tail;
+  }
+  EXPECT_GT(total.empty_interior, 0);
+  EXPECT_GT(total.with_head_or_tail, 0);
+  for (Int wt : {2, 3})
+    for (Int ws : {3, 5}) {
+      tiling::TilingModel m(problems::downhill(wt, ws).spec);
+      expect_walker_conforms(m, {9, 13});
+    }
+}
+
+TEST(InterpretConformance, BanditAndOneDimensional) {
+  for (Int w : {2, 3}) {
+    tiling::TilingModel bandit(problems::bandit2(w).spec);
+    RowShapes s = expect_walker_conforms(bandit, {7});
+    EXPECT_GT(s.rows, 0);
+  }
+  // 1-D: no outer level, the whole tile is one row.
+  for (Int w : {1, 3, 8}) {
+    tiling::TilingModel coins(problems::coin_change({1, 3, 4}, w).spec);
+    RowShapes s = expect_walker_conforms(coins, {17});
+    EXPECT_EQ(s.rows, coins.total_tiles({17}));
+  }
+}
+
+TEST(InterpretConformance, FuzzSpecsWithEqualities) {
+  // Random specs plus an equality: x1 == x_d gives equality checks that
+  // vary along the row (per-cell even in the interior), x1 == x2 in 3-D
+  // gives row-invariant ones.
+  int varying_eq = 0, invariant_eq = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    fuzz::Rng rng(seed);
+    int ndeps = 0;
+    spec::ProblemSpec base = fuzz::random_spec(rng, &ndeps);
+    const int d = base.dim();
+    if (d < 2) continue;
+    std::vector<std::string> eqs{cat("x1 == x", d)};
+    if (d == 3) eqs.push_back("x1 == x2");
+    for (const std::string& eq : eqs) {
+      spec::ProblemSpec s = base;
+      s.constraint(eq);
+      SCOPED_TRACE(s.to_text());
+      tiling::TilingModel m(std::move(s));
+      for (const auto& c : m.validity_checks()) {
+        if (c.rel != poly::Rel::Eq) continue;
+        ++(c.inner_coef != 0 ? varying_eq : invariant_eq);
+      }
+      expect_walker_conforms(m, {7});
+      expect_walker_conforms(m, {11});
+    }
+  }
+  EXPECT_GT(varying_eq, 0);
+  EXPECT_GT(invariant_eq, 0);
 }
 
 }  // namespace

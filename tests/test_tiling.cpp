@@ -139,8 +139,8 @@ TEST(TilingTriangle, ValidityChecksOnlyForViolableConstraints) {
   TilingModel m(triangle_spec(4, {{1, 0}, {0, 1}}));
   // Only "x + y <= N" can be violated by either dep; x >= 0 / y >= 0
   // cannot (positive shifts).
-  ASSERT_EQ(m.validity_checks(0).size(), 1u);
-  ASSERT_EQ(m.validity_checks(1).size(), 1u);
+  ASSERT_EQ(m.dep_checks(0).size(), 1u);
+  ASSERT_EQ(m.dep_checks(1).size(), 1u);
   // dep r1 at point (params=5, x=3, y=2): x+1+y = 6 > 5 -> invalid.
   EXPECT_FALSE(m.dep_valid_at({5, 3, 2}, 0));
   EXPECT_TRUE(m.dep_valid_at({5, 2, 2}, 0));
