@@ -275,19 +275,23 @@ if [[ "${1:-}" != "--quick" ]]; then
   # test_msgtrace rides along: its end-to-end cases stamp message
   # envelopes from every worker thread over the sharded tile table, so
   # the lifecycle stamps and per-thread record rings get a race check.
+  # test_launch rides along next to the chaos suite: the restart loop
+  # lives in runtime::launch, and its throwing-run case unwinds every
+  # rank through the launcher's tracer guard.
   cmake --build build-tsan --target test_minimpi test_runtime test_obs \
     test_engine test_hotpath test_monitor test_codegen_passes test_faults \
-    test_profile test_msgtrace
+    test_profile test_msgtrace test_launch
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'MiniMpi|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|TableState|Profile|SchemaRegistry|MsgTrace' \
+    -R 'MiniMpi|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|Launch|TableState|Profile|SchemaRegistry|MsgTrace' \
     -E 'ChaosSoak.Replay100'
 
   echo "==== AddressSanitizer + UBSan pass (engine / fuzz / recovery / tiling)"
   # The interpreter's row walk and the pack/unpack runs index tile buffers
   # with raw arithmetic, so these suites run with out-of-bounds and
   # undefined-behaviour checks; test_codegen_passes compiles its generated
-  # programs with the same flags (DPGEN_EXTRA_CXX_FLAGS).
-  asan_tests="test_engine test_fuzz test_recovery test_tiling test_codegen_passes"
+  # programs with the same flags (DPGEN_EXTRA_CXX_FLAGS).  test_launch
+  # feeds hostile flag values through the launcher's parsers.
+  asan_tests="test_engine test_fuzz test_recovery test_tiling test_codegen_passes test_launch"
   cmake -B build-asan -G Ninja \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer"

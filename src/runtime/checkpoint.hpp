@@ -10,8 +10,8 @@
 // in the store comes from a producer that has not executed and will be
 // re-sent when the producer (re)runs.
 //
-// Restart protocol (driver.hpp + engine.cpp):
-//   1. the engine re-runs the Ehrhart LoadBalancer over the surviving
+// Restart protocol (driver.hpp + launch.hpp):
+//   1. the launcher re-plans (Ehrhart load balance) over the surviving
 //      ranks, so every tile has a (new) owner;
 //   2. each rank seeds a *fresh* tile table: initial tiles it owns that
 //      have not executed, plus — via seed_rank() — every stored edge whose
@@ -89,9 +89,9 @@ struct CheckpointEdge {
   std::vector<S> payload;
 };
 
-/// Thread-safe, cross-rank checkpoint store (one per engine run; every
+/// Thread-safe, cross-rank checkpoint store (one per launch; every
 /// rank's workers record into it).  In a multi-process deployment each
-/// rank would keep its own shard and the engine would merge on restart;
+/// rank would keep its own shard and the launcher would merge on restart;
 /// in-process, one store with one mutex mirrors that without the I/O.
 template <typename S>
 class CheckpointStore {

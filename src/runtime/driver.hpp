@@ -142,10 +142,10 @@ struct RunOptions {
   /// Fault recovery (only honoured when run_node gets a checkpoint
   /// store): a rank starved of progress for this long declares a
   /// transport failure — messages it depends on are presumed lost — so
-  /// every rank unwinds and the engine restarts from the checkpoint.
+  /// every rank unwinds and the launcher restarts from the checkpoint.
   /// 0 = never; must be well under stall_timeout_seconds when set.
   double recover_stall_seconds = 0.0;
-  /// Arms the tile table's post-ready duplicate guard.  Set by the engine
+  /// Arms the tile table's post-ready duplicate guard.  Set by the launcher
   /// for any run that can see re-delivered edges (a fault plan, or a
   /// fault-tolerant run whose restart replays sends); off by default so
   /// the clean path stays free of the guard's per-tile set insert.
@@ -153,8 +153,7 @@ struct RunOptions {
   /// Continuous profiling (obs/profile.hpp): worker threads register with
   /// the process-wide Profiler (sampling timer + counter group each) and
   /// tile executions feed the adaptive-stride counter windows.  The
-  /// profiler must have been start()ed by the caller (the engine or a
-  /// generated program's main).
+  /// profiler must have been start()ed by the caller (runtime::launch).
   bool profile = false;
 };
 
@@ -571,7 +570,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
               // Recovery path: dependencies this rank is starving for are
               // presumed lost (a dropped message cannot be told apart
               // from a slow one, so the budget decides).  Poison the
-              // transport so every rank unwinds; the engine restarts
+              // transport so every rank unwinds; the launcher restarts
               // from the checkpoint and producers re-send.
               const TableSnapshot snap = table.snapshot();
               const std::string why = cat(
@@ -906,7 +905,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
 
   // Worker exceptions must not escape their threads (std::terminate);
   // capture the first and rethrow it on the spawning thread after the
-  // join, which is how a TransportFailure reaches the engine's
+  // join, which is how a TransportFailure reaches the launcher's
   // fault-tolerant restart loop.
   auto guarded_worker = [&](int w) {
     try {

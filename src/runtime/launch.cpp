@@ -1,0 +1,299 @@
+#include "runtime/launch.hpp"
+
+#include <algorithm>
+#include <cstdio>
+#include <numeric>
+
+#include "obs/export.hpp"
+#include "obs/msgtrace.hpp"
+
+namespace dpgen::runtime {
+
+namespace {
+
+/// The value of `--name=value` when `arg` has that prefix.
+std::optional<std::string> flag_value(const std::string& arg,
+                                      const std::string& name) {
+  const std::string prefix = "--" + name + "=";
+  if (!starts_with(arg, prefix)) return std::nullopt;
+  return arg.substr(prefix.size());
+}
+
+/// Restores the process-wide tracers and stops the run's profiler when a
+/// launch ends, so a run that throws does not leave them on for the next.
+class ObsRestore {
+ public:
+  explicit ObsRestore(bool profiling) : profiling_(profiling) {}
+  ObsRestore(const ObsRestore&) = delete;
+  ObsRestore& operator=(const ObsRestore&) = delete;
+  ~ObsRestore() {
+    if (profiling_ && obs::Profiler::instance().active())
+      (void)obs::Profiler::instance().stop();
+    obs::Tracer::instance().set_enabled(trace_was_);
+    obs::MsgTracer::instance().set_enabled(msg_trace_was_);
+  }
+
+ private:
+  bool profiling_;
+  bool trace_was_ = obs::Tracer::instance().enabled();
+  bool msg_trace_was_ = obs::MsgTracer::instance().enabled();
+};
+
+}  // namespace
+
+bool LaunchOptions::parse_flag(const std::string& arg) {
+  if (auto v = flag_value(arg, "ranks")) {
+    ranks = static_cast<int>(parse_int(*v, "--ranks", 1, INT_MAX));
+  } else if (auto v = flag_value(arg, "threads")) {
+    threads = static_cast<int>(parse_int(*v, "--threads", 1, INT_MAX));
+  } else if (auto v = flag_value(arg, "shards")) {
+    queue_shards = static_cast<int>(parse_int(*v, "--shards", 1, INT_MAX));
+  } else if (auto v = flag_value(arg, "capacity")) {
+    mailbox_capacity =
+        static_cast<std::size_t>(parse_int(*v, "--capacity", 0));
+  } else if (auto v = flag_value(arg, "policy")) {
+    DPGEN_CHECK(*v == "column" || *v == "level",
+                cat("bad --policy value '", *v, "' (expected column|level)"));
+    policy = *v == "level" ? PriorityPolicy::kLevelSet
+                           : PriorityPolicy::kColumnMajor;
+  } else if (auto v = flag_value(arg, "monitor-interval")) {
+    monitor_interval = parse_double(*v, "--monitor-interval");
+  } else if (auto v = flag_value(arg, "profile-hz")) {
+    profile_hz = parse_double(*v, "--profile-hz");
+  } else if (arg == "--profile-cputime") {
+    profile_force_cputime = true;
+  } else {
+    for (auto [flag, path] : {std::pair{"trace", &trace_json_path},
+                              std::pair{"metrics", &metrics_json_path},
+                              std::pair{"report", &report_json_path},
+                              std::pair{"msgtrace", &msgtrace_json_path},
+                              std::pair{"monitor", &monitor_path},
+                              std::pair{"profile", &profile_path}}) {
+      if (auto v = flag_value(arg, flag)) {
+        DPGEN_CHECK(!v->empty(), cat("--", flag, " needs a FILE"));
+        *path = *v;
+        return true;
+      }
+    }
+    return false;
+  }
+  return true;
+}
+
+void print_summary(const LaunchOptions& options, const LaunchResult& result) {
+  if (!options.monitor_path.empty()) {
+    long long stall_warnings = 0;
+    for (const RunStats& s : result.rank_stats)
+      stall_warnings += s.stall_warnings;
+    for (const obs::StragglerFlag& f : result.stragglers)
+      std::fprintf(stderr,
+                   "dpgen: straggler: rank %d pace=%.4g median=%.4g "
+                   "lag=%.0f%%\n",
+                   f.rank, f.pace, f.median_pace, f.lag * 100.0);
+    std::printf("MONITOR heartbeats=%lld stragglers=%lld "
+                "stall_warnings=%lld\n",
+                result.heartbeats,
+                static_cast<long long>(result.stragglers.size()),
+                stall_warnings);
+  }
+  if (result.profile) {
+    const obs::ProfileDoc& doc = *result.profile;
+    std::printf("PROFILE samples=%lld untraced=%lld dropped=%lld "
+                "counters=%s threads=%lld\n",
+                doc.samples_total, doc.samples_untraced, doc.samples_dropped,
+                doc.counters.c_str(),
+                static_cast<long long>(doc.threads.size()));
+  }
+  if (!options.msgtrace_json_path.empty())
+    std::printf("MSGTRACE records=%lld dropped=%llu\n", result.msg_records,
+                static_cast<unsigned long long>(result.msg_records_dropped));
+}
+
+namespace detail {
+
+LaunchResult launch(const std::function<Attempt(int alive)>& plan,
+                    const LaunchOptions& opt, const LaunchLabels& labels) {
+  for (auto [name, count] : {std::pair{"ranks", opt.ranks},
+                             std::pair{"threads", opt.threads},
+                             std::pair{"queue shards", opt.queue_shards}})
+    DPGEN_CHECK(count >= 1, cat(name, " must be >= 1 (got ", count, ")"));
+  DPGEN_CHECK(opt.monitor_interval > 0,
+              cat("monitor interval must be positive (got ",
+                  opt.monitor_interval, ")"));
+  // A report request implies tracing: the analyzer needs the spans.
+  const bool tracing =
+      !opt.trace_json_path.empty() || !opt.report_json_path.empty();
+  const bool msg_tracing = !opt.msgtrace_json_path.empty();
+  const bool profiling = !opt.profile_path.empty();
+  const bool fault_tolerant = opt.fault_tolerant || opt.fault_plan;
+
+  // Every document covers exactly this run: the registry and the tracers
+  // start from clean state.
+  if (!opt.metrics_json_path.empty()) obs::MetricsRegistry::instance().reset();
+  ObsRestore restore{profiling};
+  obs::Tracer& tracer = obs::Tracer::instance();
+  obs::MsgTracer& msg_tracer = obs::MsgTracer::instance();
+  if (tracing) {
+    tracer.clear();
+    tracer.set_enabled(true);
+  }
+  if (msg_tracing) {
+    msg_tracer.clear();
+    msg_tracer.set_enabled(true);
+  }
+  // Profiling is armed once for the whole run: restart attempts accumulate
+  // into one document (the cost model wants the total work).
+  if (profiling)
+    obs::Profiler::instance().start(
+        {.hz = opt.profile_hz,
+         .force_cputime = opt.profile_force_cputime,
+         .source = labels.source,
+         .problem = labels.profile_problem.empty() ? labels.problem
+                                                   : labels.profile_problem,
+         .params = labels.params});
+
+  // Fault-tolerant runs arm the table's post-ready duplicate guard: faulty
+  // wires can duplicate and restarts re-send.
+  RunOptions ropt{
+      .threads = opt.threads,
+      .order = {},
+      .queue_shards = opt.queue_shards,
+      .poison_buffers = opt.poison_buffers,
+      .stall_timeout_seconds = opt.stall_timeout_seconds,
+      .recover_stall_seconds = fault_tolerant ? opt.recover_stall_seconds : 0,
+      .replay_guard = fault_tolerant,
+      .profile = profiling};
+
+  LaunchResult out;
+  int alive = opt.ranks;
+  Attempt attempt;
+  std::optional<obs::Monitor> monitor;
+  std::optional<minimpi::World> world;
+  for (;;) {
+    attempt = plan(alive);
+    // Live telemetry against the plan's predicted shares; restart attempts
+    // append to the same event log for one continuous history.
+    monitor.reset();
+    if (!opt.monitor_path.empty())
+      monitor.emplace(obs::MonitorOptions{
+          .nranks = alive,
+          .interval_s = opt.monitor_interval,
+          .events_path = opt.monitor_path == "-" ? "" : opt.monitor_path,
+          .predicted_work = attempt.predicted_work,
+          .source = labels.source,
+          .problem = labels.problem,
+          .append = out.restarts > 0});
+    // Faults are injected only on the first attempt: the plan describes
+    // one failure scenario, and recovery must not re-trip it.
+    auto base = std::make_shared<minimpi::InProcessTransport>(
+        alive, opt.mailbox_capacity);
+    std::shared_ptr<minimpi::FaultInjector> injector;
+    std::shared_ptr<minimpi::Transport> transport = base;
+    if (opt.fault_plan && out.restarts == 0) {
+      injector = std::make_shared<minimpi::FaultInjector>(base, *opt.fault_plan);
+      transport = injector;
+    }
+    // A fresh World restarts the per-link sequence counters, so records of
+    // an aborted attempt must not pollute the final conservation check.
+    if (msg_tracing) msg_tracer.clear();
+    world.emplace(alive, opt.mailbox_capacity, transport);
+    ropt.order = attempt.order;
+    ropt.monitor = monitor ? &*monitor : nullptr;
+    try {
+      out.rank_stats = attempt.run(*world, ropt);
+      if (injector) out.fault_stats = injector->stats();
+      break;
+    } catch (const minimpi::TransportFailure& e) {
+      if (!fault_tolerant) throw;
+      if (injector) out.fault_stats = injector->stats();
+      const std::vector<int> dead = transport->dead_ranks();
+      ++out.restarts;
+      DPGEN_CHECK(out.restarts <= opt.max_restarts,
+                  cat("fault tolerance exhausted after ", out.restarts - 1,
+                      " restarts: ", e.what()));
+      const int next_alive =
+          std::max(1, alive - static_cast<int>(dead.size()));
+      if (monitor) {
+        for (int r : dead) monitor->rank_failed(r, e.what());
+        monitor->restart_event(out.restarts, next_alive);
+        monitor->stop();
+      }
+      for (int r : dead) out.failed_ranks.push_back(r);
+      alive = next_alive;
+    }
+  }
+
+  // The documents cover the attempt that finished: its plan, world and
+  // rank count (smaller than opt.ranks after a kill).
+  if (monitor) {
+    monitor->stop();
+    out.stragglers = monitor->stragglers();
+    out.heartbeats = monitor->heartbeats();
+  }
+  if (profiling) {
+    obs::ProfileDoc doc = obs::Profiler::instance().stop();
+    doc.nranks = alive;
+    if (!doc.families.empty())
+      doc.families[0].predicted_cells = std::accumulate(
+          attempt.predicted_work.begin(), attempt.predicted_work.end(), 0.0);
+    if (opt.profile_path != "-") obs::write_profile_json(opt.profile_path, doc);
+    out.profile = std::move(doc);
+  }
+  // run_node gathered every rank's message records and spans to rank 0,
+  // i.e. into the shared in-process tracers.
+  std::vector<obs::MsgRecord> msgs;
+  if (msg_tracing) {
+    msgs = msg_tracer.merged();
+    out.msg_records = static_cast<long long>(msgs.size());
+    out.msg_records_dropped = msg_tracer.dropped();
+    if (opt.msgtrace_json_path != "-") {
+      long long table_duplicates = 0;
+      for (const RunStats& s : out.rank_stats)
+        table_duplicates += s.table.duplicate_edges;
+      obs::write_msgtrace_json(
+          opt.msgtrace_json_path,
+          {.records = msgs,
+           .nranks = alive,
+           .sent_matrix = world->sent_matrix(),
+           .records_dropped = out.msg_records_dropped,
+           .expected_drops = out.fault_stats.messages_dropped,
+           .expected_dups = out.fault_stats.messages_duplicated,
+           .table_duplicates = table_duplicates,
+           .source = labels.source,
+           .problem = labels.problem,
+           .params = labels.params});
+    }
+  }
+  if (tracing) {
+    // Setup spans recorded outside the world ride along under rank -1.
+    std::vector<obs::Span> spans = tracer.merged();
+    for (const obs::Span& s : tracer.collect_rank(-1)) spans.push_back(s);
+    if (!opt.trace_json_path.empty())
+      obs::write_chrome_trace(opt.trace_json_path, spans, tracer.dropped(),
+                              msgs);
+    if (!opt.report_json_path.empty()) {
+      out.report = obs::analyze({.spans = std::move(spans),
+                                 .nranks = alive,
+                                 .edge_offsets = attempt.edge_offsets,
+                                 .predicted_work = attempt.predicted_work,
+                                 .bytes_matrix = world->bytes_matrix(),
+                                 .messages_matrix = world->messages_matrix(),
+                                 .spans_dropped = tracer.dropped(),
+                                 .source = labels.source,
+                                 .problem = labels.problem,
+                                 .params = labels.params,
+                                 .passes = labels.passes,
+                                 .msg_records = std::move(msgs),
+                                 .msg_records_dropped = out.msg_records_dropped});
+      obs::write_report_json(opt.report_json_path, *out.report);
+    }
+  }
+  if (!opt.metrics_json_path.empty())
+    obs::write_metrics_json(opt.metrics_json_path,
+                            obs::MetricsRegistry::instance());
+  return out;
+}
+
+}  // namespace detail
+
+}  // namespace dpgen::runtime

@@ -68,13 +68,7 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
 
   tiling::LoadBalancer balancer(model, params, cfg.nodes, cfg.balance);
 
-  // Priority dimensions: load-balanced dims first, then the rest (Fig. 5).
-  std::vector<int> dim_priority = model.lb_dims();
-  for (int k = 0; k < model.dim(); ++k)
-    if (std::find(dim_priority.begin(), dim_priority.end(), k) ==
-        dim_priority.end())
-      dim_priority.push_back(k);
-  runtime::TileOrder order(dim_priority, model.problem().dep_signs(),
+  runtime::TileOrder order(model.priority_dims(), model.problem().dep_signs(),
                            cfg.policy);
 
   std::vector<NodeState> nodes;

@@ -1,7 +1,12 @@
 #include "support/str.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 
+#include "support/error.hpp"
 #include "support/vec.hpp"
 
 namespace dpgen {
@@ -52,6 +57,27 @@ bool is_identifier(const std::string& name) {
     if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_'))
       return false;
   return true;
+}
+
+long long parse_int(const std::string& s, const std::string& what,
+                    long long lo, long long hi) {
+  long long v = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  DPGEN_CHECK(ec == std::errc() && end == s.data() + s.size() && v >= lo &&
+                  v <= hi,
+              cat(what, ": '", s, "' is not an integer in [", lo, ", ", hi,
+                  "]"));
+  return v;
+}
+
+double parse_double(const std::string& s, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  DPGEN_CHECK(!s.empty() && end == s.c_str() + s.size() && errno == 0 &&
+                  std::isfinite(v),
+              cat(what, ": '", s, "' is not a finite number"));
+  return v;
 }
 
 std::string vec_to_string(const IntVec& a) {

@@ -1,6 +1,7 @@
 #pragma once
 // String helpers shared by the parser, code emitter and diagnostics.
 
+#include <climits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,5 +30,12 @@ bool starts_with(const std::string& s, const std::string& prefix);
 
 /// True if `name` is a valid C identifier ([A-Za-z_][A-Za-z0-9_]*).
 bool is_identifier(const std::string& name);
+
+/// Parse all of `s` as a base-10 integer in [lo, hi] / a finite number;
+/// anything else (junk, trailing characters) throws dpgen::Error naming
+/// `what`.
+long long parse_int(const std::string& s, const std::string& what,
+                    long long lo = LLONG_MIN, long long hi = LLONG_MAX);
+double parse_double(const std::string& s, const std::string& what);
 
 }  // namespace dpgen

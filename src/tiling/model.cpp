@@ -404,6 +404,13 @@ Int TilingModel::total_tiles(const IntVec& params) const {
   return tiles_counter_->count(ext_seed(params));
 }
 
+std::vector<int> TilingModel::priority_dims() const {
+  std::vector<int> dims = lb_dims_;
+  for (int k = 0; k < dim(); ++k)
+    if (std::find(dims.begin(), dims.end(), k) == dims.end()) dims.push_back(k);
+  return dims;
+}
+
 Int TilingModel::total_cells(const IntVec& params) const {
   return cells_counter_->count(ext_seed(params));
 }

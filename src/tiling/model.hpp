@@ -362,6 +362,9 @@ class TilingModel {
   /// Indices (within 0..d-1) of the load-balanced dimensions, priority
   /// order.
   const std::vector<int>& lb_dims() const { return lb_dims_; }
+  /// Tile-order priority (paper Fig. 5): the load-balanced dimensions,
+  /// then the rest in loop order.
+  std::vector<int> priority_dims() const;
   /// The load-balancing space: tile space with non-balanced tile indices
   /// eliminated (over params + t_lb in ext_vars order).
   const poly::System& lb_space() const { return lb_space_; }

@@ -4,6 +4,7 @@
 // the printed results against the serial oracle and the engine.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -122,6 +123,21 @@ TEST(GeneratedSource, ProbeDefaultsToOrigin) {
   std::string src = generate_program(model);
   EXPECT_NE(src.find("kProbes[kNumProbes][kDim] = {{0LL, 0LL, 0LL, 0LL}}"),
             std::string::npos);
+}
+
+TEST(GeneratedSource, MainDelegatesToLauncher) {
+  // Run orchestration lives once, in runtime::launch: the emitted main
+  // parses flags and calls it, and touches none of the observability
+  // singletons or document writers itself.
+  problems::Problem p = problems::bandit2(8);
+  tiling::TilingModel model(p.spec);
+  std::string src = generate_program(model);
+  EXPECT_NE(src.find("dpgen::runtime::launch<dp_scalar>("), std::string::npos);
+  EXPECT_NE(src.find("dp_opt.parse_flag(argv[i])"), std::string::npos);
+  for (const char* banned :
+       {"Tracer::instance()", "MsgTracer::instance()", "Profiler::instance()",
+        "MonitorOptions", "write_report_json"})
+    EXPECT_EQ(src.find(banned), std::string::npos) << banned;
 }
 
 TEST(GeneratedSource, WriteProgramCreatesFile) {
@@ -532,6 +548,14 @@ TEST(EndToEnd, GeneratedProgramRejectsBadUsage) {
   EXPECT_NE(out.find("usage:"), std::string::npos);
   auto [status2, out2] = run_command(prog.binary + std::string(" 5 --bogus"));
   EXPECT_NE(status2, 0);
+  // Hostile values are a dpgen error with exit status 2, never a crash.
+  for (const char* args : {" 5 --ranks=0", " 5 --threads=0", " five",
+                           " 5 --capacity=-1", " 5 --ranks=2x"}) {
+    auto [bad_status, bad_out] = run_command(prog.binary + args);
+    ASSERT_TRUE(WIFEXITED(bad_status)) << args << ": " << bad_out;
+    EXPECT_EQ(WEXITSTATUS(bad_status), 2) << args << ": " << bad_out;
+    EXPECT_NE(bad_out.find("dpgen: error:"), std::string::npos) << bad_out;
+  }
 }
 
 }  // namespace
