@@ -285,13 +285,15 @@ if [[ "${1:-}" != "--quick" ]]; then
     -R 'MiniMpi|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|Launch|TableState|Profile|SchemaRegistry|MsgTrace' \
     -E 'ChaosSoak.Replay100'
 
-  echo "==== AddressSanitizer + UBSan pass (engine / fuzz / recovery / tiling)"
+  echo "==== AddressSanitizer + UBSan pass (engine / fuzz / recovery / tiling / hot path)"
   # The interpreter's row walk and the pack/unpack runs index tile buffers
   # with raw arithmetic, so these suites run with out-of-bounds and
   # undefined-behaviour checks; test_codegen_passes compiles its generated
   # programs with the same flags (DPGEN_EXTRA_CXX_FLAGS).  test_launch
-  # feeds hostile flag values through the launcher's parsers.
-  asan_tests="test_engine test_fuzz test_recovery test_tiling test_codegen_passes test_launch"
+  # feeds hostile flag values through the launcher's parsers.  test_hotpath
+  # drives the worker loop's reused tile buffer and its pooled payload and
+  # wire buffers.
+  asan_tests="test_engine test_fuzz test_recovery test_tiling test_codegen_passes test_launch test_hotpath"
   cmake -B build-asan -G Ninja \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer"

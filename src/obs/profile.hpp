@@ -334,9 +334,10 @@ class ProfileThreadScope {
 
 /// Manual frame push for phases that are not lexically scoped (the
 /// driver's idle stretch spans loop iterations).  Returns whether a frame
-/// was pushed; pass the result to profile_frame_pop.
+/// was pushed; pass the result to profile_frame_pop.  Like ScopedSpan's
+/// frames, it compiles out with DPGEN_TRACE=0.
 inline bool profile_frame_push(Phase p) {
-  if (!profdetail::frames_on()) return false;
+  if (!kTraceCompiled || !profdetail::frames_on()) return false;
   profdetail::push_frame(p);
   return true;
 }

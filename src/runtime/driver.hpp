@@ -5,7 +5,8 @@
 // runs: after load balancing and initial-tile generation, each of the
 // node's worker threads executes the paper's while-loop —
 //   1. get the next available tile,
-//   2. unpack its stored edge data into a fresh tile buffer (+ghost cells),
+//   2. unpack its stored edge data into the worker's tile buffer (+ghost
+//      cells),
 //   3. execute the tile,
 //   4. pack each valid outgoing edge and either update a neighbouring
 //      local tile or send the edge to the owning rank,
@@ -127,8 +128,10 @@ struct RunOptions {
   /// Ready-queue shards (paper VII.C); workers prefer shard
   /// (worker_id mod shards) and steal from the rest.
   int queue_shards = 1;
-  /// Fill fresh tile buffers with NaN instead of zero so that reads of
-  /// never-written ghost cells surface as NaNs (floating-point S only).
+  /// Refill the tile buffer with NaN before every tile so that reads of
+  /// cells neither unpacked nor computed for that tile surface as NaNs
+  /// (floating-point S only).  Off, the buffer is zeroed once per worker
+  /// and keeps the previous tile's values between tiles.
   bool poison_buffers = false;
   /// Abort with an error after this long with no progress (0 = never);
   /// protects tests against scheduling deadlocks.  A structured
@@ -398,8 +401,9 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   std::mutex poll_mu;  // the paper's "poll ... if lock available"
   std::mutex stats_mu;
   // Stall diagnostics: workers currently stuck in the blocked-send retry
-  // loop, and the last tile any worker completed.  Both feed the
-  // stall-abort message so a stalled rank reports what it was waiting on.
+  // loop, and the last tile any worker completed (last_tiles below).  Both
+  // feed the stall-abort message so a stalled rank reports what it was
+  // waiting on.
   std::atomic<int> blocked_senders{0};
   // Worker-failure latch: the first exception a worker throws (a
   // TransportFailure from a poisoned wire, or a hook error) is captured
@@ -412,8 +416,14 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   // feeds RankSnapshot::active_workers so the straggler detector can tell
   // "busy inside a long kernel" apart from "dependency-starved".
   std::atomic<int> busy_workers{0};
-  std::mutex diag_mu;
-  IntVec last_tile_completed;  // empty until the first tile finishes
+  // One slot per worker, written after each of its tiles and read only by
+  // the stall abort, so the per-tile store never contends across workers.
+  struct alignas(64) LastTile {
+    std::mutex mu;
+    long long seq = 0;  // rank-wide completion number; 0 = none yet
+    IntVec tile;
+  };
+  std::vector<LastTile> last_tiles(static_cast<std::size_t>(opt.threads));
   // Wire buffers are recycled rank-wide: try_recv frees a message's buffer
   // into this pool and the next remote pack reuses it, so a pipelined
   // exchange settles into zero wire allocations per edge.
@@ -462,6 +472,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
     obs::ProfileThreadScope prof_scope(opt.profile, rank, worker_id);
     const int preferred_shard = worker_id % table.shards();
     RunStats local;
+    // Zeroed here, once per worker; step 2 explains why tiles can share it.
     std::vector<S> buffer(static_cast<std::size_t>(hooks.buffer_size()));
     // Payload vectors cycle worker-locally: each tile's unpack releases
     // exactly the buffers its packs then re-acquire, so after warm-up
@@ -613,15 +624,15 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
             if (waited > opt.stall_timeout_seconds) {
               const TableSnapshot snap = table.snapshot();
               std::string last = "(none)";
-              {
-                std::lock_guard<std::mutex> lock(diag_mu);
-                if (!last_tile_completed.empty()) {
-                  last = "(";
-                  for (std::size_t k = 0; k < last_tile_completed.size();
-                       ++k)
-                    last += cat(k ? "," : "", last_tile_completed[k]);
-                  last += ")";
-                }
+              long long last_seq = 0;
+              for (LastTile& slot : last_tiles) {
+                std::lock_guard<std::mutex> lock(slot.mu);
+                if (slot.seq <= last_seq) continue;
+                last_seq = slot.seq;
+                last = "(";
+                for (std::size_t k = 0; k < slot.tile.size(); ++k)
+                  last += cat(k ? "," : "", slot.tile[k]);
+                last += ")";
               }
               raise(cat(
                   "runtime stalled: no tile became ready within the stall "
@@ -667,16 +678,20 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
       if (opt.monitor)
         done_cells.fetch_add(tile_cells_now, std::memory_order_relaxed);
 
-      // 2. fresh buffer + unpack stored edges (payloads go back to the
-      // pool, where step 4's packs pick them straight up again)
+      // 2. unpack stored edges (payloads go back to the pool, where step
+      // 4's packs pick them straight up again).  The buffer is not
+      // cleared between tiles: unpack writes every valid dependency cell
+      // outside the tile, execute writes every domain cell inside it, pack
+      // moves domain cells only, and every read of an invalid dependency
+      // is guarded (is_valid_*).  So no cell left over from the previous
+      // tile reaches a result, a payload or a checkpoint.  Poisoned runs
+      // refill the buffer with NaN per tile, which is how tests prove it.
       {
         obs::ScopedSpan span(obs::Phase::kUnpack, &ready->tile);
         if constexpr (std::is_floating_point_v<S>) {
-          std::fill(buffer.begin(), buffer.end(),
-                    opt.poison_buffers ? std::numeric_limits<S>::quiet_NaN()
-                                       : S{});
-        } else {
-          std::fill(buffer.begin(), buffer.end(), S{});
+          if (opt.poison_buffers)
+            std::fill(buffer.begin(), buffer.end(),
+                      std::numeric_limits<S>::quiet_NaN());
         }
         // All of this tile's stored edges unpack back to back; one stamp
         // (taken at the first traced edge) marks the batch, keeping the
@@ -739,10 +754,6 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
       }
       hooks.on_tile_executed(ready->tile, buffer.data());
       ++local.tiles_executed;
-      {
-        std::lock_guard<std::mutex> lock(diag_mu);
-        last_tile_completed.assign(ready->tile.begin(), ready->tile.end());
-      }
 
       // 4. pack and route each valid outgoing edge
       for (int e = 0; e < num_edges; ++e) {
@@ -846,12 +857,16 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         ckpt_edges.clear();
       }
 
+      {
+        LastTile& slot = last_tiles[static_cast<std::size_t>(worker_id)];
+        std::lock_guard<std::mutex> lock(slot.mu);
+        slot.seq = done.fetch_add(1, std::memory_order_release) + 1;
+        slot.tile.assign(ready->tile.begin(), ready->tile.end());
+      }
       // 5. hand the tile's containers back to the table so the next
       // pending slots reuse their heap storage (payloads already went to
       // payload_pool during unpack).
       table.recycle(std::move(*ready));
-
-      done.fetch_add(1, std::memory_order_release);
       // Publish (if asked) before dropping busy_workers so the snapshot
       // still counts this worker as active for the tile it just finished.
       if (opt.monitor && opt.monitor->claim(rank))

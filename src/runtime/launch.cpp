@@ -62,6 +62,8 @@ bool LaunchOptions::parse_flag(const std::string& arg) {
     profile_hz = parse_double(*v, "--profile-hz");
   } else if (arg == "--profile-cputime") {
     profile_force_cputime = true;
+  } else if (arg == "--poison-buffers") {
+    poison_buffers = true;
   } else {
     for (auto [flag, path] : {std::pair{"trace", &trace_json_path},
                               std::pair{"metrics", &metrics_json_path},

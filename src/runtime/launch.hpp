@@ -36,7 +36,7 @@ struct LaunchOptions {
   std::size_t mailbox_capacity = 0;  ///< 0 = unbounded receive buffers
   /// Ready-queue shards per rank (paper VII.C); 1 = one global queue.
   int queue_shards = 1;
-  bool poison_buffers = false;
+  bool poison_buffers = false;  ///< RunOptions::poison_buffers
   double stall_timeout_seconds = 120.0;
   /// When non-empty, the run is span-traced and the merged timeline is
   /// written here as Chrome trace-event JSON (docs/observability.md).
@@ -82,8 +82,9 @@ struct LaunchOptions {
   bool profile_force_cputime = false;  ///< cputime counters even with perf
 
   /// Applies one generated-program flag (--ranks=R ... --profile-cputime,
-  /// the generated usage string's set).  Returns false when `arg` is not
-  /// one; throws dpgen::Error on a malformed or out-of-range value.
+  /// the generated usage string's set, plus the debugging flag
+  /// --poison-buffers).  Returns false when `arg` is not one; throws
+  /// dpgen::Error on a malformed or out-of-range value.
   bool parse_flag(const std::string& arg);
 };
 

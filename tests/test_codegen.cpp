@@ -20,6 +20,7 @@
 #include "problems/problems.hpp"
 #include "support/json_schema.hpp"
 #include "support/str.hpp"
+#include "tiling/balance.hpp"
 
 namespace dpgen::codegen {
 namespace {
@@ -140,6 +141,25 @@ TEST(GeneratedSource, MainDelegatesToLauncher) {
     EXPECT_EQ(src.find(banned), std::string::npos) << banned;
 }
 
+TEST(GeneratedSource, OwnerLookupAllocatesNothing) {
+  // owner() runs once per outgoing edge: it indexes a flat table over the
+  // load-balance cells' bounding box and builds no container per call.
+  problems::Problem p = problems::bandit2(8);
+  tiling::TilingModel model(p.spec);
+  std::string src = generate_program(model);
+  const auto begin = src.find("int owner(const dpgen::IntVec& t) const");
+  ASSERT_NE(begin, std::string::npos);
+  const auto end = src.find("owned_tiles(int rank)", begin);
+  ASSERT_NE(end, std::string::npos);
+  const std::string body = src.substr(begin, end - begin);
+  EXPECT_NE(body.find("owner_[dp_idx]"), std::string::npos) << body;
+  for (const char* banned : {"std::map", "std::vector", ".find("})
+    EXPECT_EQ(body.find(banned), std::string::npos) << banned << " in\n"
+                                                    << body;
+  EXPECT_EQ(src.find("std::map<std::vector<long long>, int>"),
+            std::string::npos);
+}
+
 TEST(GeneratedSource, WriteProgramCreatesFile) {
   problems::Problem p = problems::bandit2(4);
   tiling::TilingModel model(p.spec);
@@ -158,6 +178,33 @@ TEST(GeneratedSource, WriteProgramCreatesFile) {
 using codegen_test::compile_program;
 using codegen_test::parse_result;
 using codegen_test::run_command;
+
+/// f(x) = f(x-2) + 1 with f(0) = f(1) = 1 over 0 <= x <= N: a negative
+/// template vector (ascending loops, ghost cells on the low side,
+/// dependency offsets toward smaller tiles).
+spec::ProblemSpec forward_spec() {
+  spec::ProblemSpec s;
+  s.name("forward")
+      .params({"N"})
+      .vars({"x"})
+      .constraint("x >= 0")
+      .constraint("x <= N")
+      .dep("r1", {-2})
+      .load_balance({"x"})
+      .tile_widths({3})
+      .center_code("V[loc] = is_valid_r1 ? V[loc_r1] + 1.0 : 1.0;");
+  return s;
+}
+
+/// The RESULT and MAX lines of a generated program's output.
+std::string result_lines(const std::string& out) {
+  std::istringstream in(out);
+  std::string lines;
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("RESULT ", 0) == 0 || line.rfind("MAX ", 0) == 0)
+      lines += line + "\n";
+  return lines;
+}
 
 TEST(EndToEnd, GeneratedBandit2MatchesOracle) {
   problems::Problem p = problems::bandit2(4);
@@ -416,19 +463,7 @@ TEST(EndToEnd, GeneratedFloatScalarProgram) {
 }
 
 TEST(EndToEnd, GeneratedNegativeDepProgram) {
-  // Negative template vectors: ascending loops, ghost cells on the low
-  // side, dependency offsets toward smaller tiles.
-  spec::ProblemSpec s;
-  s.name("forward")
-      .params({"N"})
-      .vars({"x"})
-      .constraint("x >= 0")
-      .constraint("x <= N")
-      .dep("r1", {-2})
-      .load_balance({"x"})
-      .tile_widths({3})
-      .center_code("V[loc] = is_valid_r1 ? V[loc_r1] + 1.0 : 1.0;");
-  tiling::TilingModel model(std::move(s));
+  tiling::TilingModel model(forward_spec());
   std::string src_path = testing::TempDir() + "/dpgen_neg_gen.cpp";
   codegen::GenOptions gen_opt;
   gen_opt.probes = {{20}};
@@ -556,6 +591,183 @@ TEST(EndToEnd, GeneratedProgramRejectsBadUsage) {
     EXPECT_EQ(WEXITSTATUS(bad_status), 2) << args << ": " << bad_out;
     EXPECT_NE(bad_out.find("dpgen: error:"), std::string::npos) << bad_out;
   }
+}
+
+// ---- tile buffers are not cleared between tiles --------------------------
+
+// A generated program reuses one tile buffer per worker without clearing
+// it.  --poison-buffers refills it with NaN before every tile, so a read
+// of a cell neither unpacked nor computed for that tile changes the
+// result.  Each family must print the same RESULT/MAX lines, byte for
+// byte, with and without poisoning.
+struct PoisonCase {
+  spec::ProblemSpec spec;
+  GenOptions gen;
+  std::string args;
+};
+
+std::string param_args(const IntVec& params) {
+  std::string args;
+  for (Int v : params) args += " " + std::to_string(v);
+  return args;
+}
+
+PoisonCase poison_case(const std::string& name) {
+  if (name == "bandit2") return {problems::bandit2(4).spec, {}, " 11"};
+  if (name == "delayed_bandit")
+    return {problems::bandit2_delay(3).spec, {}, " 6"};
+  if (name == "lcs") {
+    std::vector<std::string> seqs{"ABCBDAB", "BDCABA"};
+    return {problems::lcs(seqs, 4).spec, {},
+            param_args(problems::sequence_params(seqs))};
+  }
+  if (name == "msa3") {
+    std::vector<std::string> seqs{problems::random_dna(9, 7),
+                                  problems::random_dna(8, 8),
+                                  problems::random_dna(10, 9)};
+    return {problems::msa(seqs, 4).spec, {},
+            param_args(problems::sequence_params(seqs))};
+  }
+  if (name == "seam") return {problems::seam_carving(6).spec, {}, " 14 17"};
+  if (name == "affine") {
+    std::string a = problems::random_dna(10, 51);
+    std::string b = problems::random_dna(12, 52);
+    return {problems::align_affine(a, b, 1.0, 3.0, 1.0, 5).spec, {},
+            param_args(problems::sequence_params({a, b}))};
+  }
+  if (name == "coins")
+    return {problems::coin_change({1, 15, 16}, 4).spec, {}, " 30"};
+  if (name == "negative_dep") {
+    GenOptions gen;
+    gen.probes = {{20}};
+    return {forward_spec(), gen, " 20"};
+  }
+  if (name == "smith_waterman") {
+    std::string a = "TTTTCACACTTTT", b = "GGGGCACACGGGG";
+    GenOptions gen;
+    gen.track_max = true;
+    return {problems::smith_waterman(a, b, 2.0, -1.0, -1.0, 4).spec, gen,
+            param_args(problems::sequence_params({a, b}))};
+  }
+  ADD_FAILURE() << "unknown poison case " << name;
+  return {};
+}
+
+class EndToEndPoison : public testing::TestWithParam<const char*> {};
+
+TEST_P(EndToEndPoison, PoisonedBuffersLeaveResultsUnchanged) {
+  const std::string name = GetParam();
+  PoisonCase c = poison_case(name);
+  tiling::TilingModel model(std::move(c.spec));
+  std::string src_path =
+      testing::TempDir() + "/dpgen_poison_" + name + "_gen.cpp";
+  write_program(model, src_path, c.gen);
+  auto prog = compile_program(src_path, "poison_" + name);
+  ASSERT_TRUE(prog.ok) << prog.log;
+  const std::string run = prog.binary + c.args + " --ranks=2 --threads=2";
+  auto [status, out] = run_command(run);
+  ASSERT_EQ(status, 0) << out;
+  auto [pstatus, pout] = run_command(run + " --poison-buffers");
+  ASSERT_EQ(pstatus, 0) << pout;
+  const std::string plain = result_lines(out);
+  ASSERT_FALSE(plain.empty()) << out;
+  EXPECT_EQ(plain.find("nan"), std::string::npos) << plain;
+  EXPECT_EQ(result_lines(pout), plain);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, EndToEndPoison,
+    testing::Values("bandit2", "lcs", "delayed_bandit", "msa3", "seam",
+                    "affine", "coins", "negative_dep", "smith_waterman"),
+    [](const testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
+
+// ---- owner table ---------------------------------------------------------
+
+// Three ranks over two load-balance spaces: bandit2's triangle of
+// (s1, f1) cells leaves holes in its bounding box, and the negative-
+// dependency family walks its 1-D box upward.  The run must match the
+// oracle, the report's per-rank tiles must add up to the run's tiles, and
+// every tile must execute on the rank the balancer gives it.
+void expect_owner_table_holds(const tiling::TilingModel& model,
+                              const GenOptions& gen, const std::string& tag,
+                              const IntVec& params, const IntVec& point,
+                              double expected) {
+  std::string src_path = testing::TempDir() + "/dpgen_" + tag + "_gen.cpp";
+  write_program(model, src_path, gen);
+  auto prog = compile_program(src_path, tag);
+  ASSERT_TRUE(prog.ok) << prog.log;
+  const std::string report =
+      testing::TempDir() + "/dpgen_" + tag + "_report.json";
+  const std::string trace = testing::TempDir() + "/dpgen_" + tag + "_trace.json";
+  std::string run = cat(prog.binary, param_args(params), " --ranks=3");
+  if (obs::kTraceCompiled) run += cat(" --report=", report, " --trace=", trace);
+  auto [status, out] = run_command(run);
+  ASSERT_EQ(status, 0) << out;
+  EXPECT_NEAR(parse_result(out, point), expected, 1e-12) << out;
+  const auto at = out.find("STATS tiles=");
+  ASSERT_NE(at, std::string::npos) << out;
+  const long long tiles = std::atoll(out.c_str() + at + 12);
+  EXPECT_EQ(tiles, model.total_tiles(params));
+  if (!obs::kTraceCompiled) return;
+
+  auto read_json = [](const std::string& path) {
+    std::ifstream f(path);
+    EXPECT_TRUE(f.good()) << "generated program wrote no " << path;
+    std::stringstream ss;
+    ss << f.rdbuf();
+    return json::parse(ss.str());
+  };
+  auto doc = read_json(report);
+  const auto& ranks = doc->at("load_balance").at("ranks").as_array();
+  ASSERT_EQ(ranks.size(), 3u);
+  long long sum = 0;
+  for (const auto& r : ranks) {
+    EXPECT_GT(r->at("tiles").as_number(), 0) << "rank "
+                                             << r->at("rank").as_number();
+    sum += static_cast<long long>(r->at("tiles").as_number());
+  }
+  EXPECT_EQ(sum, tiles);
+
+  tiling::LoadBalancer balancer(model, params, 3);
+  long long checked = 0;
+  auto trace_doc = read_json(trace);
+  for (const auto& ev : trace_doc->at("traceEvents").as_array()) {
+    if (ev->at("ph").as_string() != "X" ||
+        ev->at("cat").as_string() != "tile_execute")
+      continue;
+    // args.tile reads "(t0, t1, ...)".
+    std::string text = ev->at("args").at("tile").as_string();
+    for (char& ch : text)
+      if (ch == '(' || ch == ')' || ch == ',') ch = ' ';
+    std::istringstream in(text);
+    IntVec tile;
+    for (Int v; in >> v;) tile.push_back(v);
+    EXPECT_EQ(static_cast<int>(ev->at("pid").as_number()),
+              balancer.owner(tile))
+        << vec_to_string(tile);
+    ++checked;
+  }
+  EXPECT_EQ(checked, tiles);
+  std::remove(report.c_str());
+  std::remove(trace.c_str());
+}
+
+TEST(EndToEnd, OwnerTableOverSimplexWithHolesAtThreeRanks) {
+  problems::Problem p = problems::bandit2(4);
+  tiling::TilingModel model(p.spec);
+  const IntVec params{23};
+  expect_owner_table_holds(model, {}, "owner_bandit2", params, p.objective,
+                           p.reference(params));
+}
+
+TEST(EndToEnd, OwnerTableOverNegativeDepSpaceAtThreeRanks) {
+  tiling::TilingModel model(forward_spec());
+  GenOptions gen;
+  gen.probes = {{40}};
+  // f(40) = f(38) + 1 = ... = f(0) + 20 = 21.
+  expect_owner_table_holds(model, gen, "owner_neg", {40}, {40}, 21.0);
 }
 
 }  // namespace

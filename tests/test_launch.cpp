@@ -29,7 +29,7 @@ TEST(Launch, ParseFlagAcceptsEveryGeneratedProgramFlag) {
         "--policy=level", "--trace=t.json", "--metrics=m.json",
         "--report=r.json", "--msgtrace=-", "--monitor=ev.jsonl",
         "--monitor-interval=0.01", "--profile=p.json", "--profile-hz=50",
-        "--profile-cputime"})
+        "--profile-cputime", "--poison-buffers"})
     EXPECT_TRUE(o.parse_flag(flag)) << flag;
   EXPECT_EQ(o.ranks, 3);
   EXPECT_EQ(o.threads, 2);
@@ -45,6 +45,7 @@ TEST(Launch, ParseFlagAcceptsEveryGeneratedProgramFlag) {
   EXPECT_EQ(o.profile_path, "p.json");
   EXPECT_DOUBLE_EQ(o.profile_hz, 50.0);
   EXPECT_TRUE(o.profile_force_cputime);
+  EXPECT_TRUE(o.poison_buffers);
   EXPECT_TRUE(o.parse_flag("--policy=column"));
   EXPECT_EQ(o.policy, PriorityPolicy::kColumnMajor);
 }
@@ -52,7 +53,8 @@ TEST(Launch, ParseFlagAcceptsEveryGeneratedProgramFlag) {
 TEST(Launch, ParseFlagLeavesOtherArgumentsToTheCaller) {
   LaunchOptions o;
   for (const char* arg : {"--bogus", "--passes=none", "--ranks", "ranks=2",
-                          "--ranksx=2", "--profile-cputime=1", "-", ""})
+                          "--ranksx=2", "--profile-cputime=1", "--poison-buffers=1",
+                          "-", ""})
     EXPECT_FALSE(o.parse_flag(arg)) << arg;
 }
 
