@@ -278,11 +278,13 @@ if [[ "${1:-}" != "--quick" ]]; then
   # test_launch rides along next to the chaos suite: the restart loop
   # lives in runtime::launch, and its throwing-run case unwinds every
   # rank through the launcher's tracer guard.
+  # test_recovery rides along: its 2- and 3-thread engine runs record
+  # DecisionLog bytes through the kernel's run entry on every worker.
   cmake --build build-tsan --target test_minimpi test_runtime test_obs \
     test_engine test_hotpath test_monitor test_codegen_passes test_faults \
-    test_profile test_msgtrace test_launch
+    test_profile test_msgtrace test_launch test_recovery
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'MiniMpi|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|Launch|TableState|Profile|SchemaRegistry|MsgTrace' \
+    -R 'MiniMpi|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|Launch|TableState|Profile|SchemaRegistry|MsgTrace|Recovery|DecisionMatrix|SerialReference' \
     -E 'ChaosSoak.Replay100'
 
   echo "==== AddressSanitizer + UBSan pass (engine / fuzz / recovery / tiling / hot path)"

@@ -9,8 +9,12 @@
 // compiler; the code generator's output is validated against it.
 
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "runtime/launch.hpp"
 #include "tiling/balance.hpp"
@@ -35,9 +39,107 @@ struct Cell {
   unsigned char* decision = nullptr;
 };
 
+/// A run of consecutive cells in one tile row that share their validity
+/// flags.  Cell n (0 <= n < count) sits at buffer index loc + n * step with
+/// innermost coordinate x[dim-1] + n * step; every other Cell field is the
+/// same for the whole run.
+struct CellRun {
+  double* V = nullptr;
+  Int loc = 0;         ///< index of the first cell
+  Int count = 0;
+  Int step = 1;        ///< +1 ascending, -1 descending
+  const Int* dep_offsets = nullptr;  ///< loc_rj - loc per dependency
+  std::size_t ndeps = 0;
+  const unsigned char* valid = nullptr;  ///< per-dependency validity flags
+  Int* x = nullptr;    ///< dim coordinates of the first cell; x[dim-1] is
+                       ///< stepped in place and left at the last cell's
+  int dim = 0;
+  const Int* params = nullptr;
+  Int* loc_dep = nullptr;  ///< caller-owned scratch for ndeps indices
+  /// When non-null, each cell's decision byte is appended in run order.
+  std::vector<unsigned char>* decisions = nullptr;
+};
+
 /// The center-loop body: called once per location, in a valid order.
-/// Must be thread-safe (multiple tiles execute concurrently).
-using CenterFn = std::function<void(const Cell&)>;
+/// Must be thread-safe (multiple tiles execute concurrently); copies share
+/// the one stored kernel.  Any callable taking `const Cell&` converts
+/// implicitly.  The kernel has two entry points: a single Cell, and a
+/// CellRun, whose loop is instantiated with the kernel inlined so a row
+/// interior costs one indirect call rather than one per cell.
+class CenterFn {
+ public:
+  CenterFn() = default;
+
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, CenterFn> &&
+                std::is_invocable_v<std::decay_t<F>&, const Cell&>>>
+  CenterFn(F&& fn)  // NOLINT(google-explicit-constructor)
+      : kernel_(std::make_shared<Kernel<std::decay_t<F>>>(
+            std::forward<F>(fn))) {}
+
+  /// Runs the kernel on one cell.
+  void operator()(const Cell& cell) const { kernel_->cell(cell); }
+
+  /// Runs the kernel on every cell of `run`, in run order: the same Cell
+  /// values and decision bytes as one cell call per cell with the
+  /// decision slot zeroed before each.
+  void run(const CellRun& run) const { kernel_->run(run); }
+
+ private:
+  struct KernelBase {
+    virtual ~KernelBase() = default;
+    virtual void cell(const Cell& cell) = 0;
+    virtual void run(const CellRun& run) = 0;
+  };
+
+  template <typename F>
+  struct Kernel final : KernelBase {
+    explicit Kernel(F f) : fn(std::move(f)) {}
+    void cell(const Cell& cell) override { fn(cell); }
+    void run(const CellRun& r) override {
+      // Two loops, so the common no-log one carries no per-cell branch
+      // and no byte store the compiler must assume aliases the kernel's
+      // data.
+      if (r.decisions)
+        run_cells<true>(r);
+      else
+        run_cells<false>(r);
+    }
+    template <bool kLog>
+    void run_cells(const CellRun& r) {
+      // Locals, not r's fields: the kernel's stores cannot alias them.
+      const Int* const offsets = r.dep_offsets;
+      const std::size_t ndeps = r.ndeps;
+      Int* const loc_dep = r.loc_dep;
+      Int* const inner = r.x + (r.dim - 1);
+      std::vector<unsigned char>* const decisions = r.decisions;
+      const Int count = r.count;
+      const Int step = r.step;
+      unsigned char slot = 0;
+      Cell cell;
+      cell.V = r.V;
+      cell.loc_dep = loc_dep;
+      cell.valid = r.valid;
+      cell.x = r.x;
+      cell.params = r.params;
+      cell.decision = &slot;
+      Int loc = r.loc;
+      Int x_inner = *inner;
+      for (Int n = 0; n < count; ++n, loc += step, x_inner += step) {
+        cell.loc = loc;
+        for (std::size_t j = 0; j < ndeps; ++j) loc_dep[j] = loc + offsets[j];
+        *inner = x_inner;
+        slot = 0;
+        fn(static_cast<const Cell&>(cell));
+        if constexpr (kLog) decisions->push_back(slot);
+      }
+    }
+    F fn;
+  };
+
+  std::shared_ptr<KernelBase> kernel_;
+};
 
 /// Captures every packed edge delivered during a run, keyed by the
 /// consuming tile — the storage the paper's solution-recovery scheme

@@ -36,22 +36,22 @@ void execute_tile_interpreted(const tiling::TilingModel& model,
   for (const auto& c : checks)
     if (c.rel == poly::Rel::Eq && c.inner_coef != 0) interior_eq = true;
 
-  // The per-cell loop goes through plain pointers, not the thread_local
-  // vectors (each thread_local access may cost a TLS lookup).
-  Int* const loc_dep_p = loc_dep.data();
-  const Int* const offsets_p = offsets.data();
+  // Runs go through plain pointers, not the thread_local vectors (each
+  // thread_local access may cost a TLS lookup).
   unsigned char* const valid_p = valid.data();
   unsigned char* const row_valid_p = row_valid.data();
   Int* const x_p = x.data();
 
-  unsigned char decision_slot = 0;
-  Cell cell;
-  cell.V = buffer;
-  cell.loc_dep = loc_dep_p;
-  cell.valid = valid_p;
-  cell.x = x_p;
-  cell.params = params.data();
-  cell.decision = &decision_slot;
+  CellRun run;
+  run.V = buffer;
+  run.dep_offsets = offsets.data();
+  run.ndeps = ndeps;
+  run.valid = valid_p;
+  run.x = x_p;
+  run.dim = model.dim();
+  run.params = params.data();
+  run.loc_dep = loc_dep.data();
+  run.decisions = decisions;
 
   auto holds = [](const tiling::ValidityCheck& c, Int value) {
     return c.rel == poly::Rel::Ge ? value >= 0 : value == 0;
@@ -85,36 +85,42 @@ void execute_tile_interpreted(const tiling::TilingModel& model,
         valid_p[j] = ok;
       }
     };
-    const Int row_loc = row.loc;
-    const Int x_inner = row.x_inner;
-    auto visit = [&](Int i) {
-      const Int loc = row_loc + i;
-      cell.loc = loc;
-      for (std::size_t j = 0; j < ndeps; ++j) loc_dep_p[j] = loc + offsets_p[j];
-      x_p[last] = x_inner + i;
-      decision_slot = 0;
-      center(cell);
-      if (decisions) decisions->push_back(decision_slot);
+    // Cells first, first + step, ... in scan order, all with the flags
+    // currently in valid_p.
+    run.step = row.ascending ? 1 : -1;
+    auto issue = [&](Int first, Int count) {
+      run.loc = row.loc + first;
+      run.count = count;
+      x_p[last] = row.x_inner + first;
+      center.run(run);
     };
-    auto edge_cell = [&](Int i) {
-      set_valid(i, false);
-      visit(i);
+    // Head and tail cells, and interior cells under a row-varying
+    // equality, each get their own flags and a single-cell run; the rest
+    // of the interior is one run on the row-invariant flags.  [from, to]
+    // is inclusive in scan order and may be empty.
+    auto single_cells = [&](Int from, Int to, bool interior) {
+      for (Int i = from; i != to + run.step; i += run.step) {
+        set_valid(i, interior);
+        issue(i, 1);
+      }
     };
-    auto interior_cell = [&](Int i) {
-      if (interior_eq) set_valid(i, true);
-      visit(i);
+    auto interior_cells = [&](Int from, Int to) {
+      if (interior_eq) {
+        single_cells(from, to, true);
+      } else if (row.sa <= row.sb) {
+        std::copy(row_valid_p, row_valid_p + ndeps, valid_p);
+        issue(from, row.sb - row.sa + 1);
+      }
     };
     // Head, interior and tail in scan order (reversed when descending).
     if (row.ascending) {
-      for (Int i = row.lo; i < row.sa; ++i) edge_cell(i);
-      if (!interior_eq) std::copy(row_valid_p, row_valid_p + ndeps, valid_p);
-      for (Int i = row.sa; i <= row.sb; ++i) interior_cell(i);
-      for (Int i = row.sb + 1; i <= row.hi; ++i) edge_cell(i);
+      single_cells(row.lo, row.sa - 1, false);
+      interior_cells(row.sa, row.sb);
+      single_cells(row.sb + 1, row.hi, false);
     } else {
-      for (Int i = row.hi; i > row.sb; --i) edge_cell(i);
-      if (!interior_eq) std::copy(row_valid_p, row_valid_p + ndeps, valid_p);
-      for (Int i = row.sb; i >= row.sa; --i) interior_cell(i);
-      for (Int i = row.sa - 1; i >= row.lo; --i) edge_cell(i);
+      single_cells(row.hi, row.sb + 1, false);
+      interior_cells(row.sb, row.sa);
+      single_cells(row.sa - 1, row.lo, false);
     }
   });
 }

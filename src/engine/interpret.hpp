@@ -8,11 +8,14 @@
 namespace dpgen::engine::detail {
 
 /// Runs the tile's local loop nest over `buffer`, invoking `center` per
-/// cell with mapping functions and validity flags set up (the interpreted
-/// equivalent of the generated Fig. 3 loop nest).  Walks the tile row by
-/// row (TilingModel::for_each_row) like the canonicalized generated loop:
-/// `loc` is the row base plus the innermost index, and on each row's
-/// interior only the row-invariant checks decide validity.  When
+/// run of cells that share validity (CenterFn::run) with mapping
+/// functions and validity flags set up (the interpreted equivalent of the
+/// generated Fig. 3 loop nest).  Walks the tile row by row
+/// (TilingModel::for_each_row) like the canonicalized generated loop:
+/// `loc` is the row base plus the innermost index, and each row's
+/// interior is one run on the row-invariant checks (one run per cell when
+/// an equality varies along the row); head and tail cells are single-cell
+/// runs.  When
 /// `decisions` is non-null, the per-cell Cell::decision bytes are
 /// appended in scan order.
 void execute_tile_interpreted(const tiling::TilingModel& model,

@@ -224,6 +224,18 @@ TilingModel::TilingModel(spec::ProblemSpec problem) : spec_(std::move(problem)) 
     std::vector<int> i_order;
     for (int k = 0; k < d_; ++k) i_order.push_back(ext_local(k));
     pack_nests_.push_back(poly::LoopNest::build(s, i_order));
+    // Hoistable when no innermost bound has a coefficient on the
+    // next-outer scan variable.
+    const poly::LoopNest& nest = pack_nests_.back();
+    const int last = nest.levels() - 1;
+    auto mention_outer = [&](const std::vector<poly::Bound>& bounds) {
+      return std::any_of(bounds.begin(), bounds.end(),
+                         [&](const poly::Bound& b) {
+                           return b.rest.coef(nest.var_at(last - 1)) != 0;
+                         });
+    };
+    pack_hoisted_.push_back(last >= 1 && !mention_outer(nest.lowers(last)) &&
+                            !mention_outer(nest.uppers(last)));
 
     Int shift = 0;
     for (int k = 0; k < d_; ++k) {

@@ -309,13 +309,22 @@ class TilingModel {
     return unpack_shifts_[static_cast<std::size_t>(edge)];
   }
 
+  /// True when the innermost bounds of edge e's pack nest do not mention
+  /// the next-outer scan variable, so for_each_pack_run evaluates the
+  /// innermost range once per next-outer loop instead of once per run.
+  bool edge_pack_hoisted(int edge) const {
+    return pack_hoisted_[static_cast<std::size_t>(edge)];
+  }
+
   /// Scans the producer-local cells of edge e as maximal contiguous runs
   /// along the innermost buffer dimension.  The pack nest iterates locals
   /// ascending with the innermost level at buffer stride 1, so every
   /// innermost range [lo, hi] is one contiguous buffer run; fn(start, len)
   /// receives the run's first buffer index and its length, covering the
   /// cells in exactly the canonical per-cell pack order.  This is what
-  /// turns interpreted pack/unpack into one memcpy per run.
+  /// turns interpreted pack/unpack into one memcpy per run.  On a hoisted
+  /// edge (edge_pack_hoisted) the runs of one next-outer loop share that
+  /// range, so their starts step by the next-outer variable's stride.
   template <typename Fn>
   void for_each_pack_run(const IntVec& params, const IntVec& producer,
                          int edge, Fn&& fn) const {
@@ -330,18 +339,35 @@ class TilingModel {
           producer[static_cast<std::size_t>(k)];
     local.assign(static_cast<std::size_t>(d_), 0);
     const int last = nest.levels() - 1;
+    const bool hoisted = pack_hoisted_[static_cast<std::size_t>(edge)];
+    // Buffer index of the innermost run [lo, hi] at the current outer pt.
+    auto run_start = [&](Int lo) {
+      for (int k = 0; k + 1 < d_; ++k)
+        local[static_cast<std::size_t>(k)] =
+            pt[static_cast<std::size_t>(ext_local(k))];
+      local[static_cast<std::size_t>(d_ - 1)] = lo;
+      return local_index(local);
+    };
     auto rec = [&](auto&& self, int level) -> void {
       auto [lo, hi] = nest.range(level, pt);
       if (level == last) {
         if (lo > hi) return;
-        for (int k = 0; k + 1 < d_; ++k)
-          local[static_cast<std::size_t>(k)] =
-              pt[static_cast<std::size_t>(ext_local(k))];
-        local[static_cast<std::size_t>(d_ - 1)] = lo;
-        fn(local_index(local), hi - lo + 1);
+        fn(run_start(lo), hi - lo + 1);
         return;
       }
       auto v = static_cast<std::size_t>(nest.var_at(level));
+      if (hoisted && level + 1 == last) {
+        if (lo > hi) return;
+        pt[v] = lo;
+        auto [ilo, ihi] = nest.range(last, pt);
+        if (ilo > ihi) return;
+        const Int stride =
+            strides_[v - static_cast<std::size_t>(ext_local(0))];
+        Int start = run_start(ilo);
+        for (Int x = lo; x <= hi; ++x, start += stride)
+          fn(start, ihi - ilo + 1);
+        return;
+      }
       for (Int x = lo; x <= hi; ++x) {
         pt[v] = x;
         self(self, level + 1);
@@ -410,6 +436,7 @@ class TilingModel {
   std::vector<Edge> edges_;
   std::vector<poly::LoopNest> pack_nests_;  // one per edge
   std::vector<Int> unpack_shifts_;          // one per edge
+  std::vector<bool> pack_hoisted_;          // one per edge
 
   std::vector<ValidityCheck> checks_;          // deduplicated, lifted
   std::vector<std::vector<int>> dep_checks_;   // per dependency

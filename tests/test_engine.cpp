@@ -461,6 +461,98 @@ RowShapes expect_walker_conforms(const tiling::TilingModel& m,
   return shapes;
 }
 
+TEST(InterpretConformance, RunEntryMatchesCellEntry) {
+  // A CellRun must hand the kernel exactly the Cells, and collect exactly
+  // the decision bytes, that one cell-entry call per cell would.
+  const int d = 3;
+  const IntVec params{5, 9};
+  const IntVec x0{4, 2, 7};
+  const Int loc0 = 20;
+  std::vector<double> V(64);
+  for (int ndeps = 1; ndeps <= 6; ++ndeps)
+    for (Int step : {1, -1})
+      for (Int count : {1, 5})
+        for (bool log : {false, true}) {
+          SCOPED_TRACE(cat("deps ", ndeps, " step ", step, " count ", count,
+                           log ? " with" : " without", " decisions"));
+          const auto nd = static_cast<std::size_t>(ndeps);
+          std::vector<Int> offsets;
+          std::vector<unsigned char> valid;
+          for (int j = 0; j < ndeps; ++j) {
+            offsets.push_back(3 * j - 7);
+            valid.push_back(j % 2 == 0 ? 1 : 0);
+          }
+          std::vector<SeenCell> seen;
+          CenterFn record = [&](const Cell& c) {
+            EXPECT_EQ(c.V, V.data());
+            EXPECT_EQ(c.params, params.data());
+            EXPECT_EQ(*c.decision, 0);  // zeroed before every cell
+            SeenCell s;
+            s.loc = c.loc;
+            s.loc_dep.assign(c.loc_dep, c.loc_dep + nd);
+            s.x.assign(c.x, c.x + d);
+            s.valid.assign(c.valid, c.valid + nd);
+            *c.decision = static_cast<unsigned char>(c.loc * 5 + 1);
+            seen.push_back(std::move(s));
+          };
+
+          // Reference: the cell entry once per cell.
+          std::vector<Int> ref_dep(nd);
+          IntVec ref_x = x0;
+          unsigned char slot = 0;
+          Cell cell;
+          cell.V = V.data();
+          cell.loc_dep = ref_dep.data();
+          cell.valid = valid.data();
+          cell.x = ref_x.data();
+          cell.params = params.data();
+          cell.decision = &slot;
+          std::vector<unsigned char> want_decisions;
+          for (Int n = 0; n < count; ++n) {
+            cell.loc = loc0 + n * step;
+            for (std::size_t j = 0; j < nd; ++j)
+              ref_dep[j] = cell.loc + offsets[j];
+            ref_x[d - 1] = x0[d - 1] + n * step;
+            slot = 0;
+            record(cell);
+            want_decisions.push_back(slot);
+          }
+          const std::vector<SeenCell> want = std::move(seen);
+          seen.clear();
+
+          IntVec run_x = x0;
+          std::vector<Int> run_dep(nd);
+          std::vector<unsigned char> decisions;
+          CellRun run;
+          run.V = V.data();
+          run.loc = loc0;
+          run.count = count;
+          run.step = step;
+          run.dep_offsets = offsets.data();
+          run.ndeps = nd;
+          run.valid = valid.data();
+          run.x = run_x.data();
+          run.dim = d;
+          run.params = params.data();
+          run.loc_dep = run_dep.data();
+          run.decisions = log ? &decisions : nullptr;
+          record.run(run);
+
+          ASSERT_EQ(seen.size(), want.size());
+          for (std::size_t n = 0; n < want.size(); ++n) {
+            SCOPED_TRACE(cat("cell #", n));
+            EXPECT_EQ(seen[n].loc, want[n].loc);
+            EXPECT_EQ(seen[n].loc_dep, want[n].loc_dep);
+            EXPECT_EQ(seen[n].x, want[n].x);
+            EXPECT_EQ(seen[n].valid, want[n].valid);
+          }
+          if (log)
+            EXPECT_EQ(decisions, want_decisions);
+          else
+            EXPECT_TRUE(decisions.empty());
+        }
+}
+
 TEST(InterpretConformance, Lcs) {
   const std::vector<std::string> two{"ACGTTGCAACG", "TGCATGCAAGTCA"};
   const std::vector<std::string> three{"ACGTTGC", "TGCATG", "GATTACA"};

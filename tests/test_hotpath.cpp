@@ -117,8 +117,8 @@ TEST(Hotpath, BufferPoolSteadyStateHitRate) {
 
 // ---- run coalescing vs per-cell reference --------------------------------
 
-void expect_coalesced_equivalence(problems::Problem p, const IntVec& params) {
-  tiling::TilingModel model(std::move(p.spec));
+void expect_coalesced_equivalence(const tiling::TilingModel& model,
+                                  const IntVec& params) {
   // A recognisable pattern so payload mismatches show as value diffs.
   std::vector<double> buffer(static_cast<std::size_t>(model.buffer_size()));
   for (std::size_t i = 0; i < buffer.size(); ++i)
@@ -171,8 +171,28 @@ void expect_coalesced_equivalence(problems::Problem p, const IntVec& params) {
   }
 }
 
+void expect_coalesced_equivalence(problems::Problem p, const IntVec& params) {
+  expect_coalesced_equivalence(tiling::TilingModel(std::move(p.spec)),
+                               params);
+}
+
+/// Index of the edge with tile offset `offset`; fails the test when absent.
+int edge_index(const tiling::TilingModel& model, const IntVec& offset) {
+  for (int e = 0; e < model.num_edges(); ++e)
+    if (model.edges()[static_cast<std::size_t>(e)].offset == offset) return e;
+  ADD_FAILURE() << "no edge with offset " << vec_to_string(offset);
+  return 0;
+}
+
 TEST(HotpathCoalescing, Bandit2) {
-  expect_coalesced_equivalence(problems::bandit2(4), {6});
+  tiling::TilingModel model(problems::bandit2(4).spec);
+  // The simplex couples each arm's innermost bounds to the next-outer
+  // count, so at least one edge keeps the per-run range evaluation.
+  bool any_unhoisted = false;
+  for (int e = 0; e < model.num_edges(); ++e)
+    any_unhoisted = any_unhoisted || !model.edge_pack_hoisted(e);
+  EXPECT_TRUE(any_unhoisted);
+  expect_coalesced_equivalence(model, {6});
 }
 TEST(HotpathCoalescing, Bandit3) {
   expect_coalesced_equivalence(problems::bandit3(2), {3});
@@ -189,11 +209,19 @@ TEST(HotpathCoalescing, Lcs) {
   const std::vector<std::string> seqs = {"ACGGTAG", "CGTTCGG", "ACTGAG"};
   expect_coalesced_equivalence(problems::lcs(seqs, 4),
                                problems::sequence_params(seqs));
+  // Two strings: the column edge packs one single-cell run per row, all
+  // from one hoisted innermost range.
+  const std::vector<std::string> two = {"ACGGTAGCA", "CGTTCGGAT"};
+  tiling::TilingModel model(problems::lcs(two, 4).spec);
+  EXPECT_TRUE(model.edge_pack_hoisted(edge_index(model, {0, 1})));
+  expect_coalesced_equivalence(model, problems::sequence_params(two));
 }
 TEST(HotpathCoalescing, EditDistance) {
+  tiling::TilingModel model(
+      problems::edit_distance("kitten", "sitting", 4).spec);
+  EXPECT_TRUE(model.edge_pack_hoisted(edge_index(model, {0, 1})));
   expect_coalesced_equivalence(
-      problems::edit_distance("kitten", "sitting", 4),
-      problems::sequence_params({"kitten", "sitting"}));
+      model, problems::sequence_params({"kitten", "sitting"}));
 }
 TEST(HotpathCoalescing, SmithWaterman) {
   expect_coalesced_equivalence(
@@ -213,6 +241,67 @@ TEST(HotpathCoalescing, SeamCarving) {
 }
 
 // ---- steady-state allocation count ---------------------------------------
+
+/// Executes, packs and unpacks every tile of `model` once; returns the
+/// heap allocations made.
+long long interpreter_pass(const tiling::TilingModel& model,
+                           const IntVec& params,
+                           const std::vector<IntVec>& tiles,
+                           const engine::CenterFn& kernel,
+                           std::vector<unsigned char>* decisions,
+                           std::vector<double>& buffer,
+                           std::vector<double>& payload) {
+  const long long a0 = g_heap_allocs.load();
+  for (const IntVec& tile : tiles) {
+    if (decisions) decisions->clear();
+    engine::detail::execute_tile_interpreted(model, params, tile, kernel,
+                                             buffer.data(), decisions);
+    for (int e = 0; e < model.num_edges(); ++e) {
+      const Int n = engine::detail::pack_interpreted(
+          model, params, e, tile, buffer.data(), payload.data());
+      engine::detail::unpack_interpreted(model, params, e, tile,
+                                         payload.data(), n, buffer.data());
+    }
+  }
+  return g_heap_allocs.load() - a0;
+}
+
+TEST(Hotpath, InterpreterSteadyStateAllocationFree) {
+  // The type-erased run entry, the row walk and the pack runs all work on
+  // caller or per-thread storage: after a warm-up pass, executing,
+  // packing and unpacking every tile again allocates nothing.
+  const std::vector<std::string> seqs = {"ACGGTAGCAT", "CGTTCGGATA"};
+  problems::Problem lcs2 = problems::lcs(seqs, 4);
+  problems::Problem bandit = problems::bandit2(3);
+  const std::vector<std::pair<problems::Problem*, IntVec>> cases = {
+      {&lcs2, problems::sequence_params(seqs)}, {&bandit, {5}}};
+  for (const auto& [problem, params] : cases) {
+    SCOPED_TRACE(problem->spec.problem_name());
+    tiling::TilingModel model(problem->spec);
+    std::vector<IntVec> tiles;
+    model.for_each_tile(params, [&](const IntVec& t) { tiles.push_back(t); });
+    std::vector<double> buffer(static_cast<std::size_t>(model.buffer_size()));
+    Int capacity = 0;
+    for (const auto& e : model.edges())
+      capacity = std::max(capacity, e.capacity);
+    std::vector<double> payload(static_cast<std::size_t>(capacity));
+    // Room for the largest tile's decision bytes.
+    std::size_t tile_cells = 1;
+    for (Int w : model.problem().widths())
+      tile_cells *= static_cast<std::size_t>(w);
+    std::vector<unsigned char> decisions;
+    decisions.reserve(tile_cells);
+    for (bool with_log : {false, true}) {
+      SCOPED_TRACE(with_log ? "reserved decision vector" : "no decisions");
+      std::vector<unsigned char>* log = with_log ? &decisions : nullptr;
+      (void)interpreter_pass(model, params, tiles, problem->kernel, log,
+                             buffer, payload);
+      EXPECT_EQ(interpreter_pass(model, params, tiles, problem->kernel, log,
+                                 buffer, payload),
+                0);
+    }
+  }
+}
 
 /// Minimal 2D grid hooks: an n x n tile grid where tile t depends on
 /// (t0+1, t1) and (t0, t1+1), each edge carrying 4 scalars.  This drives
