@@ -523,8 +523,11 @@ int tree_depth(const FlameNode& n) {
 }  // namespace
 
 std::string profile_flame_html(const ProfileDoc& doc) {
-  // One icicle per rank: root = the rank, children = phase frames.
+  // One icicle per rank: root = the rank, children = phase frames.  Every
+  // rank gets one, so a rank (or a whole run) too short to be sampled shows
+  // as an empty icicle rather than vanishing from the view.
   std::map<std::string, FlameNode> roots;
+  for (int r = 0; r < doc.nranks; ++r) roots[cat("rank", r)];
   for (const FoldedStack& f : doc.folded) {
     FlameNode* node = nullptr;
     std::size_t start = 0;
@@ -558,13 +561,14 @@ std::string profile_flame_html(const ProfileDoc& doc) {
   const int kRowH = 18;
   for (auto& [rank_name, root] : roots) {
     fill_totals(root);
-    if (root.total <= 0) continue;
     const int depth = 1 + tree_depth(root);
     const int height = depth * kRowH;
-    const double per_sample =
-        static_cast<double>(kWidth) / static_cast<double>(root.total);
     std::string svg;
-    render_node(root, rank_name, 0.0, per_sample, 0, kRowH, &svg);
+    if (root.total > 0)
+      render_node(root, rank_name, 0.0,
+                  static_cast<double>(kWidth) /
+                      static_cast<double>(root.total),
+                  0, kRowH, &svg);
     html += cat("<h2>", rank_name, " (", root.total, " samples)</h2>\n",
                 "<svg width=\"", kWidth, "\" height=\"", height,
                 "\" xmlns=\"http://www.w3.org/2000/svg\" style=\"background:"

@@ -142,7 +142,8 @@ void write_profile_json(const std::string& path, const ProfileDoc& doc);
 ProfileDoc parse_profile_doc(const json::Value& doc);
 
 /// Self-contained HTML icicle (flame) view of the folded stacks, one
-/// icicle per rank, in the series_svg visual style (inline SVG, no JS).
+/// icicle per rank (empty for a rank with no samples), in the series_svg
+/// visual style (inline SVG, no JS).
 std::string profile_flame_html(const ProfileDoc& doc);
 
 namespace profdetail {

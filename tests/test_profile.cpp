@@ -37,6 +37,14 @@ std::vector<std::string> validate_against_schema(const std::string& text) {
   return json::validate(*schema, *doc);
 }
 
+int count_svgs(const std::string& html) {
+  int n = 0;
+  for (std::size_t at = html.find("<svg"); at != std::string::npos;
+       at = html.find("<svg", at + 1))
+    ++n;
+  return n;
+}
+
 /// A tiny profiled engine run; returns the collected document.
 ProfileDoc profiled_engine_run(bool force_cputime,
                                const std::string& path = "-") {
@@ -246,6 +254,27 @@ TEST(ProfileEngine, JsonRoundTrip) {
   // The flame view renders without data: one SVG per rank.
   const std::string html = profile_flame_html(doc);
   EXPECT_NE(html.find("<svg"), std::string::npos);
+  EXPECT_EQ(count_svgs(html), doc.nranks);
+}
+
+// A run can end before a rank's first timer tick (the 192x192 lcs above
+// can take under a millisecond of wall time per thread); the view must
+// still draw every rank, with an empty icicle for the unsampled ones.
+TEST(ProfileFlame, UnsampledRanksGetEmptyIcicles) {
+  ProfileDoc doc;
+  doc.problem = "flame";
+  doc.nranks = 3;
+  EXPECT_EQ(count_svgs(profile_flame_html(doc)), 3);
+
+  doc.folded.push_back({"rank1;tile_execute", 4});
+  doc.samples_total = 4;
+  const std::string html = profile_flame_html(doc);
+  EXPECT_EQ(count_svgs(html), 3);
+  EXPECT_NE(html.find("rank0 (0 samples)"), std::string::npos);
+  EXPECT_NE(html.find("rank1 (4 samples)"), std::string::npos);
+  EXPECT_NE(html.find("rank2 (0 samples)"), std::string::npos);
+  EXPECT_NE(html.find("<title>tile_execute: 4 samples</title>"),
+            std::string::npos);
 }
 
 // ---- synthetic sim profile ------------------------------------------------
