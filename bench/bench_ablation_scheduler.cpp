@@ -36,24 +36,6 @@ obs::BenchSample ablation_sample(const engine::EngineOptions& base) {
   return s;
 }
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("ablation/shards2_threads2", [] {
-    engine::EngineOptions opt;
-    opt.threads = 2;
-    opt.queue_shards = 2;
-    return ablation_sample(opt);
-  });
-  register_bench("ablation/mailbox_cap1_r2", [] {
-    engine::EngineOptions opt;
-    opt.ranks = 2;
-    opt.mailbox_capacity = 1;
-    return ablation_sample(opt);
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void policy_table() {
   header("ABL-POLICY",
          "engine runs: peak buffered edges under each priority policy");
@@ -121,31 +103,23 @@ void capacity_table() {
   std::printf("\n");
 }
 
-void BM_EnginePolicy(benchmark::State& state) {
-  problems::Problem p = problems::bandit2(4);
-  tiling::TilingModel model(p.spec);
-  engine::EngineOptions opt;
-  opt.policy = state.range(0) ? runtime::PriorityPolicy::kLevelSet
-                              : runtime::PriorityPolicy::kColumnMajor;
-  opt.probes = {p.objective};
-  for (auto _ : state) {
-    auto r = engine::run(model, {20}, p.kernel, opt);
-    benchmark::DoNotOptimize(r.values.size());
-  }
-}
-BENCHMARK(BM_EnginePolicy)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-#endif  // DPGEN_BENCH_STANDALONE
+[[maybe_unused]] const bool registered = [] {
+  register_bench("ablation/shards2_threads2", [] {
+    engine::EngineOptions opt;
+    opt.threads = 2;
+    opt.queue_shards = 2;
+    return ablation_sample(opt);
+  });
+  register_bench("ablation/mailbox_cap1_r2", [] {
+    engine::EngineOptions opt;
+    opt.ranks = 2;
+    opt.mailbox_capacity = 1;
+    return ablation_sample(opt);
+  });
+  register_table("ABL-POLICY", policy_table);
+  register_table("ABL-SHARDS", shard_table);
+  register_table("ABL-BUFFERS", capacity_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  policy_table();
-  shard_table();
-  capacity_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
-#endif

@@ -3,7 +3,7 @@
 // attribution + comm matrix).  The report runs once per traced execution,
 // so the bar is "negligible next to the run it describes": millions of
 // spans per second, not thousands.  The table sweeps trace sizes; the
-// microbenchmarks pin the per-span cost for regression tracking.
+// registered bench pins the per-span cost for regression tracking.
 
 #include "bench_util.hpp"
 
@@ -66,26 +66,6 @@ obs::AnalysisInput synthetic_trace(Int n, int ranks) {
   return in;
 }
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("analysis/grid64_r4", [] {
-    obs::AnalysisInput in = synthetic_trace(64, 4);
-    const auto t0 = std::chrono::steady_clock::now();
-    obs::AnalysisReport report = obs::analyze(in);
-    obs::BenchSample s;
-    s.seconds = seconds_since(t0);
-    s.metrics = {
-        {"spans", static_cast<double>(in.spans.size())},
-        {"spans_per_s",
-         s.seconds > 0 ? static_cast<double>(in.spans.size()) / s.seconds
-                       : 0.0},
-        {"path_len", static_cast<double>(report.critical_path.size())}};
-    return s;
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void analysis_table() {
   header("ANALYSIS", "obs::analyze() throughput on synthetic traces");
   std::printf("%-14s %-10s %-10s %-12s %-14s %-10s\n", "config", "spans",
@@ -118,48 +98,27 @@ void analysis_table() {
     std::printf("%-14s %-10zu %-10zu %-12.5f %-14.0f %-10.4f\n", cfg.name,
                 in.spans.size(), report.critical_path.size(), best, sps,
                 report.path_coverage);
-    json_record("analysis", cfg.name, best,
-                {{"spans", static_cast<double>(in.spans.size())},
-                 {"path_len",
-                  static_cast<double>(report.critical_path.size())},
-                 {"spans_per_s", sps},
-                 {"coverage", report.path_coverage}});
   }
   std::printf("\n");
 }
 
-void BM_Analyze(benchmark::State& state) {
-  const Int n = state.range(0);
-  obs::AnalysisInput in = synthetic_trace(n, 4);
-  for (auto _ : state) {
-    auto report = obs::analyze(in);
-    benchmark::DoNotOptimize(report.makespan_s);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(in.spans.size()));
-}
-BENCHMARK(BM_Analyze)->Arg(16)->Arg(64);
-
-void BM_ReportJson(benchmark::State& state) {
-  obs::AnalysisReport report = obs::analyze(synthetic_trace(32, 4));
-  for (auto _ : state) {
-    std::string out = obs::report_json(report);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_ReportJson);
-
-#endif  // DPGEN_BENCH_STANDALONE
+[[maybe_unused]] const bool registered = [] {
+  register_bench("analysis/grid64_r4", [] {
+    obs::AnalysisInput in = synthetic_trace(64, 4);
+    const auto t0 = std::chrono::steady_clock::now();
+    obs::AnalysisReport report = obs::analyze(in);
+    obs::BenchSample s;
+    s.seconds = seconds_since(t0);
+    s.metrics = {
+        {"spans", static_cast<double>(in.spans.size())},
+        {"spans_per_s",
+         s.seconds > 0 ? static_cast<double>(in.spans.size()) / s.seconds
+                       : 0.0},
+        {"path_len", static_cast<double>(report.critical_path.size())}};
+    return s;
+  });
+  register_table("ANALYSIS", analysis_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  dpgen::benchutil::parse_json_flag(&argc, argv);
-  analysis_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  dpgen::benchutil::JsonSink::instance().flush();
-  return 0;
-}
-#endif

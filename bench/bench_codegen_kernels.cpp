@@ -30,6 +30,7 @@
 
 #include "codegen/generator.hpp"
 #include "codegen/passes.hpp"
+#include "support/json.hpp"
 #include "support/str.hpp"
 
 #ifndef DPGEN_EXTRA_CXX_FLAGS
@@ -152,18 +153,6 @@ obs::BenchSample run_variant(const Family& fam, bool full) {
   return s;
 }
 
-[[maybe_unused]] const bool registered = [] {
-  for (const Family& fam : kFamilies) {
-    register_bench(cat("codegen/", fam.name, "_none"),
-                   [&fam] { return run_variant(fam, false); });
-    register_bench(cat("codegen/", fam.name, "_full"),
-                   [&fam] { return run_variant(fam, true); });
-  }
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void codegen_table() {
   header("CODEGEN",
          "generated-program center-loop throughput, pass pipeline off/on");
@@ -182,8 +171,6 @@ void codegen_table() {
       std::printf("%-10s %-8s %-12.0f %-12.5f %-14.0f %-8s\n", fam.name,
                   passes, fam.cells, best.seconds, rate[full],
                   full ? "" : "-");
-      json_record("codegen", cat(fam.name, "/", passes), best.seconds,
-                  {{"cells", fam.cells}, {"cells_per_sec", rate[full]}});
     }
     if (rate[0] > 0)
       std::printf("%-10s %-8s %-12s %-12s %-14s %-8.2f\n", fam.name,
@@ -192,29 +179,15 @@ void codegen_table() {
   std::printf("\n");
 }
 
-/// Emission cost of the generator itself (not the generated program):
-/// pass-free vs full-pipeline source text for the trellis family.
-void BM_WriteProgram(benchmark::State& state) {
-  tiling::TilingModel model(trellis_spec());
-  codegen::GenOptions opt;
-  if (state.range(0))
-    opt.passes = codegen::PassPipeline::parse("full");
-  const std::string path = cat(scratch_dir(), "/bm_write.cpp");
-  for (auto _ : state) codegen::write_program(model, path, opt);
-}
-BENCHMARK(BM_WriteProgram)->Arg(0)->Arg(1);
-
-#endif  // DPGEN_BENCH_STANDALONE
+[[maybe_unused]] const bool registered = [] {
+  for (const Family& fam : kFamilies) {
+    register_bench(cat("codegen/", fam.name, "_none"),
+                   [&fam] { return run_variant(fam, false); });
+    register_bench(cat("codegen/", fam.name, "_full"),
+                   [&fam] { return run_variant(fam, true); });
+  }
+  register_table("CODEGEN", codegen_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  dpgen::benchutil::parse_json_flag(&argc, argv);
-  codegen_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  dpgen::benchutil::JsonSink::instance().flush();
-  return 0;
-}
-#endif

@@ -18,7 +18,6 @@
 
 #include "engine/engine.hpp"
 #include "minimpi/faults.hpp"
-#include "runtime/checkpoint.hpp"
 
 namespace {
 
@@ -86,20 +85,6 @@ obs::BenchSample faults_sample(Mode mode) {
   return s;
 }
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("faults/clean",
-                 [] { return faults_sample(Mode::kClean); });
-  // check.sh gates checkpointed >= 0.97x clean cells_per_sec (the < 3%
-  // clean-path overhead budget).
-  register_bench("faults/checkpointed",
-                 [] { return faults_sample(Mode::kCheckpointed); });
-  register_bench("faults/kill_restart",
-                 [] { return faults_sample(Mode::kKillRestart); });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void faults_table() {
   header("FAULTS", "checkpoint overhead (clean path) and recovery cost");
   std::printf("%-17s %-9s %-12s %-14s %-9s\n", "config", "tiles", "seconds",
@@ -117,7 +102,6 @@ void faults_table() {
   tiling::TilingModel model(grid_spec(64));
   const Int n = 1023;
   const double cells = static_cast<double>(model.total_cells({n}));
-  double clean_rate = 0.0;
   for (const auto& cfg : configs) {
     // One warm-up, then best-of-3 (the container is a single shared core).
     (void)run_once(model, n, cfg.mode);
@@ -127,49 +111,24 @@ void faults_table() {
       if (best.seconds == 0.0 || row.seconds < best.seconds) best = row;
     }
     const double rate = best.seconds > 0 ? cells / best.seconds : 0.0;
-    if (cfg.mode == Mode::kClean) clean_rate = rate;
     std::printf("%-17s %-9lld %-12.4f %-14.0f %-9d\n", cfg.name, best.tiles,
                 best.seconds, rate, best.restarts);
-    json_record("faults", cfg.name, best.seconds,
-                {{"tiles", static_cast<double>(best.tiles)},
-                 {"cells_per_sec", rate},
-                 {"overhead_pct",
-                  clean_rate > 0 ? 100.0 * (1.0 - rate / clean_rate) : 0.0},
-                 {"restarts", static_cast<double>(best.restarts)}});
   }
   std::remove("bench_faults_ckpt.json");
   std::printf("\n");
 }
 
-/// The checkpoint store's per-tile cost in isolation: tile_complete with a
-/// couple of outbound edges, the exact call the driver makes on the clean
-/// path.
-void BM_CheckpointTileComplete(benchmark::State& state) {
-  runtime::CheckpointStore<double> store;
-  std::vector<double> payload(8, 1.0);
-  Int i = 0;
-  for (auto _ : state) {
-    std::vector<runtime::CheckpointEdge<double>> edges;
-    edges.push_back({{i + 1, i}, 0, payload});
-    edges.push_back({{i, i + 2}, 1, payload});
-    store.tile_complete({i, i + 1}, std::move(edges));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CheckpointTileComplete);
-
-#endif  // DPGEN_BENCH_STANDALONE
+[[maybe_unused]] const bool registered = [] {
+  register_bench("faults/clean",
+                 [] { return faults_sample(Mode::kClean); });
+  // check.sh gates checkpointed >= 0.97x clean cells_per_sec (the < 3%
+  // clean-path overhead budget).
+  register_bench("faults/checkpointed",
+                 [] { return faults_sample(Mode::kCheckpointed); });
+  register_bench("faults/kill_restart",
+                 [] { return faults_sample(Mode::kKillRestart); });
+  register_table("FAULTS", faults_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  dpgen::benchutil::parse_json_flag(&argc, argv);
-  faults_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  dpgen::benchutil::JsonSink::instance().flush();
-  return 0;
-}
-#endif

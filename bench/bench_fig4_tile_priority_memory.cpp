@@ -14,26 +14,6 @@ namespace {
 using namespace dpgen;
 using namespace dpgen::benchutil;
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("fig4/sim_grid_n16_column", [] {
-    tiling::TilingModel model(grid_spec(4));
-    IntVec params{4 * 16 - 1};
-    sim::ClusterConfig cfg;
-    cfg.policy = runtime::PriorityPolicy::kColumnMajor;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto r = sim::simulate(model, params, cfg);
-    obs::BenchSample s;
-    s.seconds = seconds_since(t0);
-    s.metrics = {{"peak_buffered_edges",
-                  static_cast<double>(r.peak_buffered_edges)},
-                 {"tiles", static_cast<double>(r.tiles)}};
-    return s;
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void fig4_table() {
   header("FIG4",
          "peak buffered edges: column-major vs level-set priority, 1 core");
@@ -51,14 +31,6 @@ void fig4_table() {
                 static_cast<long long>(n), col.peak_buffered_edges,
                 lvl.peak_buffered_edges, static_cast<long long>(n + 1),
                 static_cast<long long>(2 * (n - 1)));
-    json_record("fig4", "grid2d/n=" + std::to_string(n) + "/policy=column",
-                col.makespan,
-                {{"peak_buffered_edges",
-                  static_cast<double>(col.peak_buffered_edges)}});
-    json_record("fig4", "grid2d/n=" + std::to_string(n) + "/policy=level",
-                lvl.makespan,
-                {{"peak_buffered_edges",
-                  static_cast<double>(lvl.peak_buffered_edges)}});
   }
   // Higher-dimensional spaces: the level-set / column-major memory ratio
   // approaches ~d (section V.B).
@@ -78,37 +50,27 @@ void fig4_table() {
                 lvl.peak_buffered_edges,
                 static_cast<double>(lvl.peak_buffered_edges) /
                     static_cast<double>(col.peak_buffered_edges));
-    json_record("fig4", "simp" + std::to_string(d) + "/ratio", col.makespan,
-                {{"column", static_cast<double>(col.peak_buffered_edges)},
-                 {"levelset", static_cast<double>(lvl.peak_buffered_edges)},
-                 {"ratio", static_cast<double>(lvl.peak_buffered_edges) /
-                               static_cast<double>(col.peak_buffered_edges)}});
   }
   std::printf("\n");
 }
 
-void BM_SimulateGridColumnMajor(benchmark::State& state) {
-  tiling::TilingModel model(grid_spec(4));
-  IntVec params{4 * state.range(0) - 1};
-  sim::ClusterConfig cfg;
-  for (auto _ : state) {
+[[maybe_unused]] const bool registered = [] {
+  register_bench("fig4/sim_grid_n16_column", [] {
+    tiling::TilingModel model(grid_spec(4));
+    IntVec params{4 * 16 - 1};
+    sim::ClusterConfig cfg;
+    cfg.policy = runtime::PriorityPolicy::kColumnMajor;
+    const auto t0 = std::chrono::steady_clock::now();
     auto r = sim::simulate(model, params, cfg);
-    benchmark::DoNotOptimize(r.makespan);
-  }
-}
-BENCHMARK(BM_SimulateGridColumnMajor)->Arg(8)->Arg(16)->Arg(32);
-
-#endif  // DPGEN_BENCH_STANDALONE
+    obs::BenchSample s;
+    s.seconds = seconds_since(t0);
+    s.metrics = {{"peak_buffered_edges",
+                  static_cast<double>(r.peak_buffered_edges)},
+                 {"tiles", static_cast<double>(r.tiles)}};
+    return s;
+  });
+  register_table("FIG4", fig4_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  dpgen::benchutil::parse_json_flag(&argc, argv);
-  fig4_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  dpgen::benchutil::JsonSink::instance().flush();
-  return 0;
-}
-#endif

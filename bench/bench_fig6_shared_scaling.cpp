@@ -13,7 +13,6 @@ namespace {
 using namespace dpgen;
 using namespace dpgen::benchutil;
 
-#ifdef DPGEN_BENCH_STANDALONE
 struct Workload {
   const char* name;
   spec::ProblemSpec spec;
@@ -43,7 +42,26 @@ std::vector<Workload> workloads() {
   }
   return w;
 }
-#endif  // DPGEN_BENCH_STANDALONE
+void fig6_table() {
+  header("FIG6", "shared-memory scaling: speedup vs cores on one node");
+  std::printf("%-10s %-7s %-10s %-10s %-12s\n", "problem", "cores",
+              "speedup", "eff", "makespan_s");
+  for (auto& wl : workloads()) {
+    tiling::TilingModel model(wl.spec);
+    IntVec params;
+    for (int i = 0; i < model.nparams(); ++i) params.push_back(wl.n);
+    for (int cores : {1, 2, 4, 8, 12, 16, 20, 24}) {
+      sim::ClusterConfig cfg;
+      cfg.cores_per_node = cores;
+      auto r = sim::simulate(model, params, cfg);
+      std::printf("%-10s %-7d %-10.2f %-10.3f %-12.4f\n", wl.name, cores,
+                  r.speedup(), r.efficiency(cores), r.makespan);
+    }
+  }
+  std::printf(
+      "# SPD1  paper: speedup >= 22 on 24 cores for most problems; "
+      "2-arm bandit 22.35\n\n");
+}
 
 [[maybe_unused]] const bool registered = [] {
   register_bench("fig6/sim_bandit2_c24", [] {
@@ -59,61 +77,8 @@ std::vector<Workload> workloads() {
                  {"utilization", r.utilization}};
     return s;
   });
+  register_table("FIG6", fig6_table);
   return true;
 }();
 
-#ifdef DPGEN_BENCH_STANDALONE
-
-void fig6_table() {
-  header("FIG6", "shared-memory scaling: speedup vs cores on one node");
-  std::printf("%-10s %-7s %-10s %-10s %-12s\n", "problem", "cores",
-              "speedup", "eff", "makespan_s");
-  for (auto& wl : workloads()) {
-    tiling::TilingModel model(wl.spec);
-    IntVec params;
-    for (int i = 0; i < model.nparams(); ++i) params.push_back(wl.n);
-    for (int cores : {1, 2, 4, 8, 12, 16, 20, 24}) {
-      sim::ClusterConfig cfg;
-      cfg.cores_per_node = cores;
-      auto r = sim::simulate(model, params, cfg);
-      std::printf("%-10s %-7d %-10.2f %-10.3f %-12.4f\n", wl.name, cores,
-                  r.speedup(), r.efficiency(cores), r.makespan);
-      json_record("fig6",
-                  std::string(wl.name) + "/cores=" + std::to_string(cores),
-                  r.makespan,
-                  {{"speedup", r.speedup()},
-                   {"efficiency", r.efficiency(cores)},
-                   {"tiles", static_cast<double>(r.tiles)},
-                   {"utilization", r.utilization}});
-    }
-  }
-  std::printf(
-      "# SPD1  paper: speedup >= 22 on 24 cores for most problems; "
-      "2-arm bandit 22.35\n\n");
-}
-
-void BM_Simulate24Cores(benchmark::State& state) {
-  tiling::TilingModel model(problems::bandit2(8).spec);
-  sim::ClusterConfig cfg;
-  cfg.cores_per_node = 24;
-  for (auto _ : state) {
-    auto r = sim::simulate(model, {static_cast<Int>(state.range(0))}, cfg);
-    benchmark::DoNotOptimize(r.makespan);
-  }
-}
-BENCHMARK(BM_Simulate24Cores)->Arg(63)->Arg(127);
-
-#endif  // DPGEN_BENCH_STANDALONE
-
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  dpgen::benchutil::parse_json_flag(&argc, argv);
-  fig6_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  dpgen::benchutil::JsonSink::instance().flush();
-  return 0;
-}
-#endif

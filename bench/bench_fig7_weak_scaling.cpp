@@ -12,7 +12,6 @@ namespace {
 using namespace dpgen;
 using namespace dpgen::benchutil;
 
-#ifdef DPGEN_BENCH_STANDALONE
 struct Workload {
   const char* name;
   spec::ProblemSpec spec;
@@ -26,30 +25,6 @@ std::vector<Workload> workloads() {
   w.push_back({"grid2d", grid_spec(8), 4'000'000});
   return w;
 }
-#endif  // DPGEN_BENCH_STANDALONE
-
-[[maybe_unused]] const bool registered = [] {
-  register_bench("fig7/sim_bandit2_nodes4", [] {
-    tiling::TilingModel model(problems::bandit2(8).spec);
-    Int n = size_for_cells(model, 1'000'000);
-    sim::ClusterConfig cfg;
-    cfg.nodes = 4;
-    cfg.cores_per_node = 24;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto r = sim::simulate(model, {n}, cfg);
-    obs::BenchSample s;
-    s.seconds = seconds_since(t0);
-    s.metrics = {{"cells", static_cast<double>(model.total_cells({n}))},
-                 {"tiles", static_cast<double>(r.tiles)},
-                 {"remote_messages",
-                  static_cast<double>(r.remote_messages)}};
-    return s;
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void fig7_table() {
   header("FIG7",
          "weak scaling across nodes (24 cores each), time normalised by "
@@ -78,14 +53,6 @@ void fig7_table() {
       std::printf("%-10s %-7d %-10lld %-14lld %-12.4f %-10.3f\n", wl.name,
                   nodes, static_cast<long long>(n),
                   static_cast<long long>(cells), norm * 1e9, eff);
-      json_record("fig7",
-                  std::string(wl.name) + "/nodes=" + std::to_string(nodes),
-                  r.makespan,
-                  {{"ns_per_cell", norm * 1e9},
-                   {"efficiency", eff},
-                   {"cells", static_cast<double>(cells)},
-                   {"remote_messages",
-                    static_cast<double>(r.remote_messages)}});
       (void)probe_params;
     }
   }
@@ -94,30 +61,25 @@ void fig7_table() {
       "~84%% on 192 cores (with ~93%% single-node OpenMP efficiency)\n\n");
 }
 
-void BM_WeakScalePoint(benchmark::State& state) {
-  tiling::TilingModel model(problems::bandit2(8).spec);
-  Int n = size_for_cells(model, 1'000'000);
-  sim::ClusterConfig cfg;
-  cfg.nodes = static_cast<int>(state.range(0));
-  cfg.cores_per_node = 24;
-  for (auto _ : state) {
+[[maybe_unused]] const bool registered = [] {
+  register_bench("fig7/sim_bandit2_nodes4", [] {
+    tiling::TilingModel model(problems::bandit2(8).spec);
+    Int n = size_for_cells(model, 1'000'000);
+    sim::ClusterConfig cfg;
+    cfg.nodes = 4;
+    cfg.cores_per_node = 24;
+    const auto t0 = std::chrono::steady_clock::now();
     auto r = sim::simulate(model, {n}, cfg);
-    benchmark::DoNotOptimize(r.makespan);
-  }
-}
-BENCHMARK(BM_WeakScalePoint)->Arg(1)->Arg(4)->Arg(8);
-
-#endif  // DPGEN_BENCH_STANDALONE
+    obs::BenchSample s;
+    s.seconds = seconds_since(t0);
+    s.metrics = {{"cells", static_cast<double>(model.total_cells({n}))},
+                 {"tiles", static_cast<double>(r.tiles)},
+                 {"remote_messages",
+                  static_cast<double>(r.remote_messages)}};
+    return s;
+  });
+  register_table("FIG7", fig7_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  dpgen::benchutil::parse_json_flag(&argc, argv);
-  fig7_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  dpgen::benchutil::JsonSink::instance().flush();
-  return 0;
-}
-#endif

@@ -34,6 +34,24 @@ System simplex_system(int d) {
   return s;
 }
 
+void fm_table() {
+  header("FMPERF", "constraints produced vs kept per FM elimination step");
+  std::printf("%-6s %-8s %-10s %-10s %-10s\n", "d", "step", "before",
+              "produced", "kept");
+  for (int d : {4, 6, 8}) {
+    System s = simplex_system(d);
+    for (int step = 0; step < d; ++step) {
+      int before = s.size();
+      s = s.eliminated(1 + (d - 1 - step));  // innermost first
+      auto st = poly::fm_last_stats();
+      std::printf("%-6d %-8d %-10d %-10lld %-10lld\n", d, step, before,
+                  st.produced, st.kept);
+    }
+  }
+  std::printf("# pruning keeps the working set near-linear; naive FM would "
+              "square the inequality count each step\n\n");
+}
+
 [[maybe_unused]] const bool registered = [] {
   register_bench("fm/eliminate_simplex8", [] {
     System s = simplex_system(8);
@@ -53,59 +71,8 @@ System simplex_system(int d) {
     sample.metrics = {{"edges", static_cast<double>(model.num_edges())}};
     return sample;
   });
+  register_table("FMPERF", fm_table);
   return true;
 }();
 
-#ifdef DPGEN_BENCH_STANDALONE
-
-void fm_table() {
-  header("FMPERF", "constraints produced vs kept per FM elimination step");
-  std::printf("%-6s %-8s %-10s %-10s %-10s\n", "d", "step", "before",
-              "produced", "kept");
-  for (int d : {4, 6, 8}) {
-    System s = simplex_system(d);
-    for (int step = 0; step < d; ++step) {
-      int before = s.size();
-      s = s.eliminated(1 + (d - 1 - step));  // innermost first
-      auto st = poly::fm_last_stats();
-      std::printf("%-6d %-8d %-10d %-10lld %-10lld\n", d, step, before,
-                  st.produced, st.kept);
-    }
-  }
-  std::printf("# pruning keeps the working set near-linear; naive FM would "
-              "square the inequality count each step\n\n");
-}
-
-void BM_FmEliminateSimplex(benchmark::State& state) {
-  const int d = static_cast<int>(state.range(0));
-  System s = simplex_system(d);
-  for (auto _ : state) {
-    System cur = s;
-    for (int k = d; k >= 1; --k) cur = cur.eliminated(k);
-    benchmark::DoNotOptimize(cur.size());
-  }
-}
-BENCHMARK(BM_FmEliminateSimplex)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_TilingModelConstruction(benchmark::State& state) {
-  for (auto _ : state) {
-    tiling::TilingModel model(
-        simplex_spec(static_cast<int>(state.range(0)), 4));
-    benchmark::DoNotOptimize(model.num_edges());
-  }
-}
-BENCHMARK(BM_TilingModelConstruction)->Arg(2)->Arg(4)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-
-#endif  // DPGEN_BENCH_STANDALONE
-
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  fm_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
-#endif

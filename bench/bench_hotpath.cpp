@@ -3,8 +3,8 @@
 // driver loop (pack -> route -> deliver -> unpack) dominates.  This is the
 // regression harness for the allocation-free hot path: the table prints
 // edge throughput plus the buffer-pool counters (runtime.edge_alloc /
-// runtime.pool_hit), and `--json <path>` records every row so
-// BENCH_hotpath.json can track the trajectory across commits.
+// runtime.pool_hit), and the registered hotpath/ benches track the same
+// workloads across commits through dpgen-bench.
 //
 // Configurations:
 //   * grid/w=2 and grid/w=4 — a 2D unit-dep grid cut into tiny tiles; each
@@ -66,8 +66,10 @@ HotpathRow run_once(const tiling::TilingModel& model, Int n, int ranks,
   return row;
 }
 
-/// One pass of the deliver/pop pattern BM_TableDeliverPop measures, shared
-/// with the registry entry below.
+/// Pending-map + ready-queue cost in isolation: every tile of an n x n
+/// grid receives two edges (with small payloads) and is popped once its
+/// dependencies are satisfied, mimicking the driver's delivery pattern.
+/// Returns the seconds taken, or -1 on a wrong pop count.
 double table_deliver_pop_once(Int n) {
   runtime::TileOrder order({0, 1}, {1, 1},
                            runtime::PriorityPolicy::kColumnMajor);
@@ -121,41 +123,6 @@ obs::BenchSample hotpath_sample(Int width, Int n, int ranks,
   return s;
 }
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("hotpath/grid_w2",
-                 [] { return hotpath_sample(2, 255, 1); });
-  register_bench("hotpath/grid_w2_r2",
-                 [] { return hotpath_sample(2, 255, 2); });
-  // Same workload with the live monitor attached: guards the "monitoring
-  // costs < 3% edge throughput" budget (ISSUE 6) — the steady-state cost
-  // is one relaxed load per tile.
-  register_bench("hotpath/grid_w2_mon",
-                 [] { return hotpath_sample(2, 255, 1, true); });
-  // Same workload with the sampling profiler + per-tile counter windows
-  // attached: guards the "continuous profiling costs < 3% edge
-  // throughput" budget — the steady-state cost is two frame-stack stores
-  // per span plus an adaptive-stride counter read (most tiles skip it).
-  register_bench("hotpath/grid_w2_prof",
-                 [] { return hotpath_sample(2, 255, 1, false, true); });
-  // The 2-rank workload with message tracing on: guards the "msgtrace
-  // costs < 3% edge throughput" budget (ISSUE 10).  Compare against
-  // grid_w2_r2 — grid_w2 is single-rank and sends no messages, so it
-  // would measure nothing.  The steady-state cost is six steady-clock
-  // stamps plus one ring store per remote edge.
-  register_bench("hotpath/grid_w2_msgtrace",
-                 [] { return hotpath_sample(2, 255, 2, false, false, true); });
-  register_bench("hotpath/table_deliver_pop", [] {
-    obs::BenchSample s;
-    const Int n = 64;
-    s.seconds = table_deliver_pop_once(n);
-    s.metrics = {{"edges", static_cast<double>(2 * n * n)}};
-    return s;
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void hotpath_table() {
   header("HOTPATH", "edge-dominated driver throughput (small tiles)");
   std::printf("%-14s %-9s %-10s %-12s %-14s %-12s %-10s\n", "config",
@@ -192,40 +159,42 @@ void hotpath_table() {
     std::printf("%-14s %-9lld %-10lld %-12.4f %-14.0f %-12lld %-10.2f\n",
                 cfg.name, best.tiles, best.edges, best.seconds, eps,
                 best.edge_allocs, hit_pct);
-    json_record("hotpath", cfg.name, best.seconds,
-                {{"tiles", static_cast<double>(best.tiles)},
-                 {"edges", static_cast<double>(best.edges)},
-                 {"edges_per_s", eps},
-                 {"edge_allocs", static_cast<double>(best.edge_allocs)},
-                 {"pool_hit_pct", hit_pct}});
   }
   std::printf("\n");
 }
 
-/// Pending-map + ready-queue cost in isolation: every tile of an n x n
-/// grid receives two edges (with small payloads) and is popped once its
-/// dependencies are satisfied, mimicking the driver's delivery pattern.
-void BM_TableDeliverPop(benchmark::State& state) {
-  const Int n = state.range(0);
-  for (auto _ : state) {
-    if (table_deliver_pop_once(n) < 0)
-      state.SkipWithError("wrong pop count");
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * 2);
-}
-BENCHMARK(BM_TableDeliverPop)->Arg(64)->Arg(128);
-
-#endif  // DPGEN_BENCH_STANDALONE
+[[maybe_unused]] const bool registered = [] {
+  register_bench("hotpath/grid_w2",
+                 [] { return hotpath_sample(2, 255, 1); });
+  register_bench("hotpath/grid_w2_r2",
+                 [] { return hotpath_sample(2, 255, 2); });
+  // Same workload with the live monitor attached: guards the "monitoring
+  // costs < 3% edge throughput" budget — the steady-state cost is one
+  // relaxed load per tile.
+  register_bench("hotpath/grid_w2_mon",
+                 [] { return hotpath_sample(2, 255, 1, true); });
+  // Same workload with the sampling profiler + per-tile counter windows
+  // attached: guards the "continuous profiling costs < 3% edge
+  // throughput" budget — the steady-state cost is two frame-stack stores
+  // per span plus an adaptive-stride counter read (most tiles skip it).
+  register_bench("hotpath/grid_w2_prof",
+                 [] { return hotpath_sample(2, 255, 1, false, true); });
+  // The 2-rank workload with message tracing on: guards the "msgtrace
+  // costs < 3% edge throughput" budget.  Compare against
+  // grid_w2_r2 — grid_w2 is single-rank and sends no messages, so it
+  // would measure nothing.  The steady-state cost is six steady-clock
+  // stamps plus one ring store per remote edge.
+  register_bench("hotpath/grid_w2_msgtrace",
+                 [] { return hotpath_sample(2, 255, 2, false, false, true); });
+  register_bench("hotpath/table_deliver_pop", [] {
+    obs::BenchSample s;
+    const Int n = 64;
+    s.seconds = table_deliver_pop_once(n);
+    s.metrics = {{"edges", static_cast<double>(2 * n * n)}};
+    return s;
+  });
+  register_table("HOTPATH", hotpath_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  dpgen::benchutil::parse_json_flag(&argc, argv);
-  hotpath_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  dpgen::benchutil::JsonSink::instance().flush();
-  return 0;
-}
-#endif

@@ -12,22 +12,6 @@ namespace {
 using namespace dpgen;
 using namespace dpgen::benchutil;
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("initial_tiles/scan_bandit2_n80", [] {
-    tiling::TilingModel model(problems::bandit2(4).spec);
-    IntVec params{80};
-    const auto t0 = std::chrono::steady_clock::now();
-    Int scanned = model.for_each_initial_tile(params, [](const IntVec&) {});
-    obs::BenchSample s;
-    s.seconds = seconds_since(t0);
-    s.metrics = {{"candidates", static_cast<double>(scanned)}};
-    return s;
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void init_table() {
   header("INIT", "initial-tile scan cost vs total run");
   std::printf("%-10s %-8s %-10s %-12s %-12s %-10s\n", "problem", "N",
@@ -56,42 +40,28 @@ void init_table() {
     auto result = engine::run(model, params, c.prob.kernel, opt);
     const auto& s = result.rank_stats[0];
     std::printf("%-10s %-8lld %-10lld %-12lld %-12.6f %-10.4f%%\n", c.name,
-                static_cast<long long>(c.n), model.total_tiles(params),
-                candidates, s.init_scan_seconds,
+                static_cast<long long>(c.n),
+                static_cast<long long>(model.total_tiles(params)),
+                static_cast<long long>(candidates), s.init_scan_seconds,
                 100.0 * s.init_scan_seconds / s.total_seconds);
   }
   std::printf("# paper: initial tile generation is serial and < 0.5%% of "
               "total run time for even the largest runs\n\n");
 }
 
-void BM_InitialTileScan(benchmark::State& state) {
-  tiling::TilingModel model(problems::bandit2(4).spec);
-  IntVec params{static_cast<Int>(state.range(0))};
-  for (auto _ : state) {
+[[maybe_unused]] const bool registered = [] {
+  register_bench("initial_tiles/scan_bandit2_n80", [] {
+    tiling::TilingModel model(problems::bandit2(4).spec);
+    IntVec params{80};
+    const auto t0 = std::chrono::steady_clock::now();
     Int scanned = model.for_each_initial_tile(params, [](const IntVec&) {});
-    benchmark::DoNotOptimize(scanned);
-  }
-}
-BENCHMARK(BM_InitialTileScan)->Arg(40)->Arg(80);
-
-void BM_DepCount(benchmark::State& state) {
-  tiling::TilingModel model(problems::bandit2(4).spec);
-  IntVec params{40};
-  IntVec tile{2, 2, 1, 1};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(model.deps_of(params, tile).size());
-}
-BENCHMARK(BM_DepCount);
-
-#endif  // DPGEN_BENCH_STANDALONE
+    obs::BenchSample s;
+    s.seconds = seconds_since(t0);
+    s.metrics = {{"candidates", static_cast<double>(scanned)}};
+    return s;
+  });
+  register_table("INIT", init_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  init_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
-#endif

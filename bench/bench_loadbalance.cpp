@@ -18,37 +18,6 @@ namespace {
 using namespace dpgen;
 using namespace dpgen::benchutil;
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("loadbalance/balancer_bandit2_n127_r8", [] {
-    tiling::TilingModel model(problems::bandit2(8).spec);
-    IntVec params{127};
-    const auto t0 = std::chrono::steady_clock::now();
-    tiling::LoadBalancer lb(model, params, 8);
-    obs::BenchSample s;
-    s.seconds = seconds_since(t0);
-    s.metrics = {{"imbalance", lb.imbalance()},
-                 {"cells", static_cast<double>(lb.num_cells())}};
-    return s;
-  });
-  register_bench("loadbalance/sim_hyperplane_nodes4", [] {
-    tiling::TilingModel model(problems::bandit2(8).spec);
-    sim::ClusterConfig cfg;
-    cfg.nodes = 4;
-    cfg.cores_per_node = 8;
-    cfg.balance = tiling::BalanceMethod::kHyperplane;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto r = sim::simulate(model, {127}, cfg);
-    obs::BenchSample s;
-    s.seconds = seconds_since(t0);
-    s.metrics = {{"utilization", r.utilization},
-                 {"tiles", static_cast<double>(r.tiles)}};
-    return s;
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void lb_table() {
   header("LB", "work imbalance (max/avg) vs number of balanced dimensions");
   std::printf("%-8s %-7s %-8s %-12s %-12s\n", "space", "nodes", "lbdims",
@@ -61,7 +30,7 @@ void lb_table() {
         tiling::LoadBalancer lb(model, params, nodes);
         std::printf("%-8s %-7d %-8d %-12.4f %-12lld\n",
                     ("simp" + std::to_string(d)).c_str(), nodes, lbdims,
-                    lb.imbalance(), lb.num_cells());
+                    lb.imbalance(), static_cast<long long>(lb.num_cells()));
       }
     }
   }
@@ -91,35 +60,35 @@ void lbalt_table() {
               "2-arm bandit when scaling across nodes (future work, Fig. 8)\n\n");
 }
 
-void BM_BalancerConstruction(benchmark::State& state) {
-  tiling::TilingModel model(problems::bandit2(8).spec);
-  IntVec params{static_cast<Int>(state.range(0))};
-  for (auto _ : state) {
+[[maybe_unused]] const bool registered = [] {
+  register_bench("loadbalance/balancer_bandit2_n127_r8", [] {
+    tiling::TilingModel model(problems::bandit2(8).spec);
+    IntVec params{127};
+    const auto t0 = std::chrono::steady_clock::now();
     tiling::LoadBalancer lb(model, params, 8);
-    benchmark::DoNotOptimize(lb.total_work());
-  }
-}
-BENCHMARK(BM_BalancerConstruction)->Arg(63)->Arg(127);
-
-void BM_OwnerLookup(benchmark::State& state) {
-  tiling::TilingModel model(problems::bandit2(8).spec);
-  IntVec params{127};
-  tiling::LoadBalancer lb(model, params, 8);
-  IntVec tile{3, 2, 1, 0};
-  for (auto _ : state) benchmark::DoNotOptimize(lb.owner(tile));
-}
-BENCHMARK(BM_OwnerLookup);
-
-#endif  // DPGEN_BENCH_STANDALONE
+    obs::BenchSample s;
+    s.seconds = seconds_since(t0);
+    s.metrics = {{"imbalance", lb.imbalance()},
+                 {"cells", static_cast<double>(lb.num_cells())}};
+    return s;
+  });
+  register_bench("loadbalance/sim_hyperplane_nodes4", [] {
+    tiling::TilingModel model(problems::bandit2(8).spec);
+    sim::ClusterConfig cfg;
+    cfg.nodes = 4;
+    cfg.cores_per_node = 8;
+    cfg.balance = tiling::BalanceMethod::kHyperplane;
+    const auto t0 = std::chrono::steady_clock::now();
+    auto r = sim::simulate(model, {127}, cfg);
+    obs::BenchSample s;
+    s.seconds = seconds_since(t0);
+    s.metrics = {{"utilization", r.utilization},
+                 {"tiles", static_cast<double>(r.tiles)}};
+    return s;
+  });
+  register_table("LB", lb_table);
+  register_table("LBALT", lbalt_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  lb_table();
-  lbalt_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
-#endif

@@ -12,33 +12,6 @@ namespace {
 using namespace dpgen;
 using namespace dpgen::benchutil;
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("pending_memory/engine_bandit2_n32", [] {
-    problems::Problem p = problems::bandit2(4);
-    tiling::TilingModel model(p.spec);
-    IntVec params{32};
-    engine::EngineOptions opt;
-    opt.probes = {p.objective};
-    const auto t0 = std::chrono::steady_clock::now();
-    auto result = engine::run(model, params, p.kernel, opt);
-    obs::BenchSample s;
-    s.seconds = seconds_since(t0);
-    long long peak_scalars = 0, peak_pending = 0;
-    for (const auto& rs : result.rank_stats) {
-      peak_scalars += rs.table.peak_buffered_scalars;
-      peak_pending += rs.table.peak_pending_tiles;
-    }
-    s.metrics = {{"cells", static_cast<double>(model.total_cells(params))},
-                 {"peak_buffered_scalars",
-                  static_cast<double>(peak_scalars)},
-                 {"peak_pending_tiles", static_cast<double>(peak_pending)}};
-    return s;
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void pend_table() {
   header("PEND", "peak live memory vs full-array storage (engine runs)");
   std::printf("%-10s %-8s %-14s %-16s %-16s %-10s\n", "problem", "N",
@@ -67,29 +40,30 @@ void pend_table() {
               "magnitude (O(n^(d-1)) live tiles of Theta(n^d) locations)\n\n");
 }
 
-void BM_EngineBandit2(benchmark::State& state) {
-  problems::Problem p = problems::bandit2(4);
-  tiling::TilingModel model(p.spec);
-  IntVec params{static_cast<Int>(state.range(0))};
-  engine::EngineOptions opt;
-  opt.probes = {p.objective};
-  for (auto _ : state) {
+[[maybe_unused]] const bool registered = [] {
+  register_bench("pending_memory/engine_bandit2_n32", [] {
+    problems::Problem p = problems::bandit2(4);
+    tiling::TilingModel model(p.spec);
+    IntVec params{32};
+    engine::EngineOptions opt;
+    opt.probes = {p.objective};
+    const auto t0 = std::chrono::steady_clock::now();
     auto result = engine::run(model, params, p.kernel, opt);
-    benchmark::DoNotOptimize(result.values.size());
-  }
-  state.SetItemsProcessed(state.iterations() * model.total_cells(params));
-}
-BENCHMARK(BM_EngineBandit2)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);
-
-#endif  // DPGEN_BENCH_STANDALONE
+    obs::BenchSample s;
+    s.seconds = seconds_since(t0);
+    long long peak_scalars = 0, peak_pending = 0;
+    for (const auto& rs : result.rank_stats) {
+      peak_scalars += rs.table.peak_buffered_scalars;
+      peak_pending += rs.table.peak_pending_tiles;
+    }
+    s.metrics = {{"cells", static_cast<double>(model.total_cells(params))},
+                 {"peak_buffered_scalars",
+                  static_cast<double>(peak_scalars)},
+                 {"peak_pending_tiles", static_cast<double>(peak_pending)}};
+    return s;
+  });
+  register_table("PEND", pend_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  pend_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
-#endif

@@ -32,28 +32,6 @@ obs::BenchSample suite_sample(const problems::Problem& p,
   return s;
 }
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("suite/lcs2_n150", [] {
-    auto seqs = std::vector<std::string>{problems::random_dna(150, 4),
-                                         problems::random_dna(150, 5)};
-    return suite_sample(problems::lcs(seqs, 16),
-                        problems::sequence_params(seqs));
-  });
-  register_bench("suite/msa3_n40", [] {
-    auto seqs = std::vector<std::string>{problems::random_dna(40, 1),
-                                         problems::random_dna(40, 2),
-                                         problems::random_dna(40, 3)};
-    return suite_sample(problems::msa(seqs, 8),
-                        problems::sequence_params(seqs));
-  });
-  register_bench("suite/seam_200x200", [] {
-    return suite_sample(problems::seam_carving(32), {200, 200});
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void suite_table() {
   header("SUITE", "engine throughput per problem (1 rank, 1 thread)");
   std::printf("%-14s %-14s %-10s %-12s %-14s\n", "problem", "cells",
@@ -105,46 +83,25 @@ void suite_table() {
   std::printf("\n");
 }
 
-void BM_EngineMsa3(benchmark::State& state) {
-  auto seqs = std::vector<std::string>{problems::random_dna(30, 1),
-                                       problems::random_dna(30, 2),
-                                       problems::random_dna(30, 3)};
-  problems::Problem p = problems::msa(seqs, 8);
-  tiling::TilingModel model(p.spec);
-  IntVec params = problems::sequence_params(seqs);
-  engine::EngineOptions opt;
-  opt.probes = {p.objective};
-  for (auto _ : state) {
-    auto r = engine::run(model, params, p.kernel, opt);
-    benchmark::DoNotOptimize(r.values.size());
-  }
-  state.SetItemsProcessed(state.iterations() * model.total_cells(params));
-}
-BENCHMARK(BM_EngineMsa3)->Unit(benchmark::kMillisecond);
-
-void BM_EngineSeam(benchmark::State& state) {
-  problems::Problem p = problems::seam_carving(32);
-  tiling::TilingModel model(p.spec);
-  IntVec params{100, 100};
-  engine::EngineOptions opt;
-  opt.probes = {p.objective};
-  for (auto _ : state) {
-    auto r = engine::run(model, params, p.kernel, opt);
-    benchmark::DoNotOptimize(r.values.size());
-  }
-  state.SetItemsProcessed(state.iterations() * model.total_cells(params));
-}
-BENCHMARK(BM_EngineSeam)->Unit(benchmark::kMillisecond);
-
-#endif  // DPGEN_BENCH_STANDALONE
+[[maybe_unused]] const bool registered = [] {
+  register_bench("suite/lcs2_n150", [] {
+    auto seqs = std::vector<std::string>{problems::random_dna(150, 4),
+                                         problems::random_dna(150, 5)};
+    return suite_sample(problems::lcs(seqs, 16),
+                        problems::sequence_params(seqs));
+  });
+  register_bench("suite/msa3_n40", [] {
+    auto seqs = std::vector<std::string>{problems::random_dna(40, 1),
+                                         problems::random_dna(40, 2),
+                                         problems::random_dna(40, 3)};
+    return suite_sample(problems::msa(seqs, 8),
+                        problems::sequence_params(seqs));
+  });
+  register_bench("suite/seam_200x200", [] {
+    return suite_sample(problems::seam_carving(32), {200, 200});
+  });
+  register_table("SUITE", suite_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  suite_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
-#endif

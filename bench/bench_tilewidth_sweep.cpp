@@ -13,26 +13,6 @@ namespace {
 using namespace dpgen;
 using namespace dpgen::benchutil;
 
-[[maybe_unused]] const bool registered = [] {
-  register_bench("tilew/sim_bandit3_w4_nodes4", [] {
-    tiling::TilingModel model(problems::bandit3(4).spec);
-    sim::ClusterConfig cfg;
-    cfg.nodes = 4;
-    cfg.cores_per_node = 6;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto r = sim::simulate(model, {30}, cfg);
-    obs::BenchSample s;
-    s.seconds = seconds_since(t0);
-    s.metrics = {{"tiles", static_cast<double>(r.tiles)},
-                 {"remote_messages",
-                  static_cast<double>(r.remote_messages)}};
-    return s;
-  });
-  return true;
-}();
-
-#ifdef DPGEN_BENCH_STANDALONE
-
 void tilew_table() {
   header("TILEW", "3-arm-bandit makespan vs tile width and node count");
   const Int n = 45;
@@ -78,28 +58,23 @@ void tilew_table() {
       "large tiles starve the pipeline and smaller tiles win\n\n");
 }
 
-void BM_SimulateBandit3Width(benchmark::State& state) {
-  tiling::TilingModel model(
-      problems::bandit3(static_cast<Int>(state.range(0))).spec);
-  sim::ClusterConfig cfg;
-  cfg.nodes = 4;
-  cfg.cores_per_node = 6;
-  for (auto _ : state) {
+[[maybe_unused]] const bool registered = [] {
+  register_bench("tilew/sim_bandit3_w4_nodes4", [] {
+    tiling::TilingModel model(problems::bandit3(4).spec);
+    sim::ClusterConfig cfg;
+    cfg.nodes = 4;
+    cfg.cores_per_node = 6;
+    const auto t0 = std::chrono::steady_clock::now();
     auto r = sim::simulate(model, {30}, cfg);
-    benchmark::DoNotOptimize(r.makespan);
-  }
-}
-BENCHMARK(BM_SimulateBandit3Width)->Arg(4)->Arg(10);
-
-#endif  // DPGEN_BENCH_STANDALONE
+    obs::BenchSample s;
+    s.seconds = seconds_since(t0);
+    s.metrics = {{"tiles", static_cast<double>(r.tiles)},
+                 {"remote_messages",
+                  static_cast<double>(r.remote_messages)}};
+    return s;
+  });
+  register_table("TILEW", tilew_table);
+  return true;
+}();
 
 }  // namespace
-
-#ifdef DPGEN_BENCH_STANDALONE
-int main(int argc, char** argv) {
-  tilew_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
-#endif

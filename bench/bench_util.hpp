@@ -1,34 +1,17 @@
 #pragma once
-// Shared helpers for the figure-reproduction benchmark binaries.
+// Shared helpers for the figure-reproduction benches.
 //
-// Every bench prints the series it regenerates with a leading "# <EXPID>"
-// header so EXPERIMENTS.md can be cross-checked mechanically, then runs its
-// google-benchmark microbenchmarks.
-//
-// Each bench .cpp is compiled twice: standalone (DPGEN_BENCH_STANDALONE,
-// with its printf tables, BENCHMARK() micros and main) and into the
-// dpgen_benchsuite object library (registrations into obs::BenchRegistry
-// only), so tools/dpgen-bench can run every bench with repeated trials and
-// gate the medians against an archived baseline.
-//
-// Standalone binaries still accept `--json <path>` / `--json=<path>`: every
-// table data point is written as a machine-readable record
-//   {"bench": ..., "config": ..., "seconds": ..., "metrics": {...}}
-// rendered through json::Writer (strings escaped, NaN/inf as null), so
-// sweeps can be diffed across commits without parsing printf tables.  The
-// flag is stripped before google-benchmark sees argv.  The document is
-//   {"meta": {git_sha, machine, fingerprint, timestamp}, "records": [...]}
-// — the same machine fingerprint dpgen-bench stamps into dpgen.bench.v1
-// documents (obs::collect_run_meta), so archived sweeps from different
-// hosts are never compared against each other by accident.
-
-#ifdef DPGEN_BENCH_STANDALONE
-#include <benchmark/benchmark.h>
-#endif
+// Every bench .cpp registers, from one static initializer, its trial
+// functions (register_bench: "family/config" -> one measured sample) and
+// its figure tables (register_table: each prints the series it regenerates
+// under a leading "# <EXPID>" header, so EXPERIMENTS.md can be
+// cross-checked mechanically).  They all link into the dpgen_benchsuite
+// object library: `dpgen-bench` runs the benches with repeated trials and
+// gates the medians against an archived baseline, and
+// `dpgen-bench --table[=ID,...]` prints the tables.
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,90 +20,9 @@
 #include "problems/problems.hpp"
 #include "sim/cluster_sim.hpp"
 #include "spec/problem_spec.hpp"
-#include "support/json.hpp"
 #include "tiling/model.hpp"
 
 namespace dpgen::benchutil {
-
-/// Collects bench records and writes them as one JSON array on flush().
-/// Inactive (every call a no-op) until open() is given a path.
-class JsonSink {
- public:
-  static JsonSink& instance() {
-    static JsonSink sink;
-    return sink;
-  }
-
-  void open(const std::string& path) { path_ = path; }
-  bool active() const { return !path_.empty(); }
-
-  void record(const std::string& bench, const std::string& config,
-              double seconds,
-              const std::vector<std::pair<std::string, double>>& metrics) {
-    if (!active()) return;
-    json::Writer w;
-    w.begin_object();
-    w.key("bench").value(bench);
-    w.key("config").value(config);
-    w.key("seconds").value(seconds);
-    w.key("metrics").begin_object();
-    for (const auto& [name, value] : metrics) w.key(name).value(value);
-    w.end_object();
-    w.end_object();
-    records_.push_back(w.str());
-  }
-
-  /// Writes the collected records; call once at the end of main().
-  void flush() {
-    if (!active()) return;
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open --json file '%s'\n", path_.c_str());
-      return;
-    }
-    const obs::RunMeta meta = obs::collect_run_meta(0);
-    json::Writer mw;
-    mw.begin_object();
-    mw.key("git_sha").value(meta.git_sha);
-    mw.key("machine").value(meta.machine);
-    mw.key("fingerprint").value(meta.fingerprint);
-    mw.key("timestamp").value(static_cast<double>(meta.timestamp));
-    mw.end_object();
-    std::fprintf(f, "{\n\"meta\": %s,\n\"records\": [\n", mw.str().c_str());
-    for (std::size_t i = 0; i < records_.size(); ++i)
-      std::fprintf(f, "  %s%s\n", records_[i].c_str(),
-                   i + 1 < records_.size() ? "," : "");
-    std::fputs("]\n}\n", f);
-    std::fclose(f);
-  }
-
- private:
-  std::string path_;
-  std::vector<std::string> records_;
-};
-
-/// Shorthand used by the table functions.
-inline void json_record(
-    const std::string& bench, const std::string& config, double seconds,
-    const std::vector<std::pair<std::string, double>>& metrics) {
-  JsonSink::instance().record(bench, config, seconds, metrics);
-}
-
-/// Strips `--json <path>` / `--json=<path>` from argv (call before
-/// benchmark::Initialize, which rejects unknown flags) and opens the sink.
-inline void parse_json_flag(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < *argc) {
-      JsonSink::instance().open(argv[++i]);
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      JsonSink::instance().open(argv[i] + 7);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-}
 
 /// An n-per-side square tile grid workload (unit deps).
 inline spec::ProblemSpec grid_spec(Int width) {
@@ -193,11 +95,15 @@ inline double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Registers `name` in the process-wide BenchRegistry; used from a static
-/// initializer in each bench .cpp so the same objects serve both the
-/// standalone binary and the dpgen-bench runner.
+/// initializer in each bench .cpp.
 inline bool register_bench(const std::string& name,
                            std::function<obs::BenchSample()> fn) {
   return obs::BenchRegistry::instance().add(name, std::move(fn));
+}
+
+/// Registers the table printer for the "# <id>" header it prints.
+inline bool register_table(const std::string& id, std::function<void()> fn) {
+  return obs::BenchRegistry::instance().add_table(id, std::move(fn));
 }
 
 }  // namespace dpgen::benchutil

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Full local verification: configure, build, run the test suite and the
-# figure-reproduction benches, then a flake leg and extra build flavours —
+# Full local verification: configure, build, run the test suite, print
+# the figure-reproduction tables (dpgen-bench --table) after checking that
+# every EXPERIMENTS.md section names a registered table, then a flake leg
+# and extra build flavours —
 #   * the timing-sensitive suites repeated 20 times (flake leg),
 #   * ThreadSanitizer over the concurrency-heavy suites (the runtime,
 #     comm layer and tracer are lock-free on their hot paths),
@@ -9,9 +11,8 @@
 #     tiling, codegen passes),
 #   * a -DDPGEN_TRACE=0 build proving the tracing macro path compiles
 #     and the suite still passes with every span compiled out,
-#   * a Release (-O2 -DNDEBUG) build-and-bench smoke: bench_hotpath with
-#     --json, archived under bench-archive/ — the numbers BENCH_hotpath.json
-#     tracks across commits,
+#   * a Release (-O2 -DNDEBUG) build-and-bench smoke: the HOTPATH table
+#     (dpgen-bench --table=HOTPATH),
 #   * the continuous-benchmarking gate: dpgen-bench runs a quick subset,
 #     validates the emitted dpgen.bench.v1 document, archives the run,
 #     gates it against the per-machine auto-baseline (established on the
@@ -239,11 +240,21 @@ else
 fi
 
 if [[ "${1:-}" != "--quick" ]]; then
-  for b in build/bench/*; do
-    [[ -x "$b" && -f "$b" ]] || continue
-    echo "==== $b"
-    "$b"
-  done
+  echo "==== EXPERIMENTS.md drift (every section names a registered table)"
+  # A "## <ID>" section must name a table dpgen-bench prints; sections
+  # reproduced by a test suite instead cite their tests/ file.
+  tables="$(build/tools/dpgen-bench --list | awk '$1 == "table" { print $2 }')"
+  grep -E '^## [A-Z0-9-]+ ' EXPERIMENTS.md | grep -v 'tests/' |
+    awk '{ print $2 }' | while read -r id; do
+      grep -qx "$id" <<< "$tables" || {
+        echo "ERROR: EXPERIMENTS.md section '$id' names no dpgen-bench" \
+             "table" >&2
+        exit 1
+      }
+    done
+
+  echo "==== figure tables (dpgen-bench --table)"
+  build/tools/dpgen-bench --table
 
   echo "==== flake leg (timing-sensitive suites, 20 repeats)"
   # These suites assert on clock stamps, samplers and thread interleavings;
@@ -311,14 +322,11 @@ if [[ "${1:-}" != "--quick" ]]; then
   ctest --test-dir build-notrace --output-on-failure
 
   echo "==== Release bench smoke (hot-path throughput)"
+  # The deliver/pop cycle on its own is hotpath/table_deliver_pop, gated
+  # in the next leg.
   cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release --target bench_hotpath dpgen-bench
-  mkdir -p bench-archive
-  stamp="$(date +%Y%m%d-%H%M%S)"
-  build-release/bench/bench_hotpath \
-    --json "bench-archive/hotpath-${stamp}.json" \
-    --benchmark_filter=BM_TableDeliverPop
-  echo "archived bench-archive/hotpath-${stamp}.json"
+  cmake --build build-release --target dpgen-bench
+  build-release/tools/dpgen-bench --table=HOTPATH
 
   echo "==== continuous-benchmarking gate (dpgen-bench)"
   # A quick, ms-scale subset: run with repeated trials, validate the

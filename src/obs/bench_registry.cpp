@@ -108,6 +108,11 @@ const BenchEntry* BenchRegistry::find(const std::string& name) const {
   return it == by_name_.end() ? nullptr : &entries_[it->second];
 }
 
+bool BenchRegistry::add_table(const std::string& id,
+                              std::function<void()> fn) {
+  return tables_.emplace(id, std::move(fn)).second;
+}
+
 std::vector<std::string> BenchRegistry::select(
     const std::string& filter) const {
   std::vector<std::string> pats;

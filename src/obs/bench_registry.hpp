@@ -3,9 +3,11 @@
 // subsystem.  Spans and metrics (trace.hpp / metrics.hpp) say where one
 // run spent its time; this registry makes runs comparable across commits:
 //
-//   * every bench binary registers named trial functions ("family/config"
-//     -> one measured sample) into the process-wide BenchRegistry, so one
-//     runner (tools/dpgen-bench) can run any subset with repeated trials;
+//   * every bench translation unit registers named trial functions
+//     ("family/config" -> one measured sample) into the process-wide
+//     BenchRegistry, so one runner (tools/dpgen-bench) can run any subset
+//     with repeated trials; it registers the paper's "# <ID>" figure
+//     tables the same way, and `dpgen-bench --table` prints them;
 //   * robust_stats() turns repeated trials into median + MAD + min with
 //     MAD-scaled outlier rejection — DP kernels on shared machines are
 //     noisy enough that single-shot timings mislead (Tadonki,
@@ -48,8 +50,8 @@ struct BenchEntry {
 };
 
 /// Process-wide bench registry.  Bench translation units register their
-/// entries from static initializers; the same objects link into both the
-/// standalone bench binaries and the dpgen-bench runner.
+/// entries and tables from static initializers; the dpgen-bench runner
+/// links them all.
 class BenchRegistry {
  public:
   static BenchRegistry& instance();
@@ -65,9 +67,19 @@ class BenchRegistry {
   /// matches everything — in sorted order.
   std::vector<std::string> select(const std::string& filter) const;
 
+  /// Registers a table printer under its "# <ID>" header ID; duplicate
+  /// IDs are rejected like duplicate bench names.
+  bool add_table(const std::string& id, std::function<void()> fn);
+
+  /// Table printers keyed (and so ordered) by ID.
+  const std::map<std::string, std::function<void()>>& tables() const {
+    return tables_;
+  }
+
  private:
   std::vector<BenchEntry> entries_;
   std::map<std::string, std::size_t> by_name_;
+  std::map<std::string, std::function<void()>> tables_;
 };
 
 /// Robust statistics over repeated trials.  Samples more than

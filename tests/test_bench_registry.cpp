@@ -76,6 +76,14 @@ TEST(BenchRegistry, RegistrationDedupAndSelect) {
 
   std::vector<std::string> both = reg.select("t/alpha,t/beta");
   EXPECT_EQ(both.size(), 2u);
+
+  // Table IDs dedup the same way; the first printer wins.
+  static int printed = 0;
+  ASSERT_TRUE(reg.add_table("T-ONE", [] { printed = 1; }));
+  EXPECT_FALSE(reg.add_table("T-ONE", [] { printed = 9; }));
+  ASSERT_EQ(reg.tables().count("T-ONE"), 1u);
+  reg.tables().at("T-ONE")();
+  EXPECT_EQ(printed, 1);
 }
 
 TEST(BenchRegistry, RobustStatsRejectsOutliers) {

@@ -38,6 +38,7 @@
 //       live and post-hoc views).  Exit 1 on any violation or mismatch.
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -153,8 +154,14 @@ const Entry* find_entry(const std::string& name) {
 IntVec parse_csv(const std::string& text) {
   IntVec out;
   for (const std::string& part : split(text, ","))
-    out.push_back(std::atoll(part.c_str()));
+    out.push_back(parse_int(part, "--params"));
   return out;
+}
+
+/// A count flag (--ranks, --threads, --nodes, --cores), parsed strictly
+/// with the launcher's lower bound of 1.
+int count_flag(const char* v, const char* flag) {
+  return static_cast<int>(parse_int(v, flag, 1, INT_MAX));
 }
 
 std::string read_file(const std::string& path) {
@@ -941,49 +948,59 @@ int run_problem(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const std::size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? argv[i] + n : nullptr;
-    };
-    if (const char* v = value("--problem=")) opt.problem = v;
-    else if (const char* v = value("--params=")) opt.params = parse_csv(v);
-    else if (const char* v = value("--ranks=")) opt.ranks = std::atoi(v);
-    else if (const char* v = value("--threads=")) opt.threads = std::atoi(v);
-    else if (arg == "--sim") opt.sim = true;
-    else if (const char* v = value("--nodes=")) opt.nodes = std::atoi(v);
-    else if (const char* v = value("--cores=")) opt.cores = std::atoi(v);
-    else if (const char* v = value("--report=")) {
-      opt.report_path = v;
-      opt.report_path_set = true;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&](const char* prefix) -> const char* {
+        const std::size_t n = std::strlen(prefix);
+        return arg.compare(0, n, prefix) == 0 ? argv[i] + n : nullptr;
+      };
+      if (const char* v = value("--problem=")) opt.problem = v;
+      else if (const char* v = value("--params=")) opt.params = parse_csv(v);
+      else if (const char* v = value("--ranks="))
+        opt.ranks = count_flag(v, "--ranks");
+      else if (const char* v = value("--threads="))
+        opt.threads = count_flag(v, "--threads");
+      else if (arg == "--sim") opt.sim = true;
+      else if (const char* v = value("--nodes="))
+        opt.nodes = count_flag(v, "--nodes");
+      else if (const char* v = value("--cores="))
+        opt.cores = count_flag(v, "--cores");
+      else if (const char* v = value("--report=")) {
+        opt.report_path = v;
+        opt.report_path_set = true;
+      }
+      else if (const char* v = value("--trace-out=")) opt.trace_out = v;
+      else if (const char* v = value("--trace=")) opt.trace_in = v;
+      else if (const char* v = value("--validate=")) opt.validate_path = v;
+      else if (const char* v = value("--schema=")) opt.schema_path = v;
+      else if (const char* v = value("--events=")) opt.events_in = v;
+      else if (const char* v = value("--profile-out=")) opt.profile_out = v;
+      else if (const char* v = value("--profile-hz="))
+        opt.profile_hz = parse_double(v, "--profile-hz");
+      else if (arg == "--profile-cputime") opt.profile_cputime = true;
+      else if (const char* v = value("--profile=")) opt.profile_in = v;
+      else if (const char* v = value("--flame=")) opt.flame_out = v;
+      else if (const char* v = value("--msgtrace-out=")) opt.msgtrace_out = v;
+      else if (const char* v = value("--msgtrace=")) opt.msgtrace_in = v;
+      else if (const char* v = value("--waterfall=")) opt.waterfall_out = v;
+      else if (const char* v = value("--faults=")) opt.faults = v;
+      else if (const char* v = value("--diff=")) {
+        const std::vector<std::string> parts = split(v, ",");
+        if (parts.size() != 2) return usage(argv[0]);
+        opt.diff_old = parts[0];
+        opt.diff_new = parts[1];
+      }
+      else if (arg == "--diff" && i + 2 < argc) {
+        opt.diff_old = argv[++i];
+        opt.diff_new = argv[++i];
+      }
+      else if (arg == "--list") opt.list = true;
+      else return usage(argv[0]);
     }
-    else if (const char* v = value("--trace-out=")) opt.trace_out = v;
-    else if (const char* v = value("--trace=")) opt.trace_in = v;
-    else if (const char* v = value("--validate=")) opt.validate_path = v;
-    else if (const char* v = value("--schema=")) opt.schema_path = v;
-    else if (const char* v = value("--events=")) opt.events_in = v;
-    else if (const char* v = value("--profile-out=")) opt.profile_out = v;
-    else if (const char* v = value("--profile-hz=")) opt.profile_hz = std::atof(v);
-    else if (arg == "--profile-cputime") opt.profile_cputime = true;
-    else if (const char* v = value("--profile=")) opt.profile_in = v;
-    else if (const char* v = value("--flame=")) opt.flame_out = v;
-    else if (const char* v = value("--msgtrace-out=")) opt.msgtrace_out = v;
-    else if (const char* v = value("--msgtrace=")) opt.msgtrace_in = v;
-    else if (const char* v = value("--waterfall=")) opt.waterfall_out = v;
-    else if (const char* v = value("--faults=")) opt.faults = v;
-    else if (const char* v = value("--diff=")) {
-      const std::vector<std::string> parts = split(v, ",");
-      if (parts.size() != 2) return usage(argv[0]);
-      opt.diff_old = parts[0];
-      opt.diff_new = parts[1];
-    }
-    else if (arg == "--diff" && i + 2 < argc) {
-      opt.diff_old = argv[++i];
-      opt.diff_new = argv[++i];
-    }
-    else if (arg == "--list") opt.list = true;
-    else return usage(argv[0]);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "dpgen-analyze: error: %s\n", e.what());
+    return 2;
   }
 
   if (opt.list) {

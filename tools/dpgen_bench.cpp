@@ -1,11 +1,17 @@
-// dpgen-bench — the continuous-benchmarking runner over the unified bench
-// registry (src/obs/bench_registry.hpp).  Every bench/bench_*.cpp
-// translation unit registers its workloads; this binary links them all
-// (via the dpgen_benchsuite object library) and runs any subset with
-// repeated trials, robust statistics and a perf-regression gate:
+// dpgen-bench — the one bench harness over the unified bench registry
+// (src/obs/bench_registry.hpp).  Every bench/bench_*.cpp translation unit
+// registers its workloads and figure tables; this binary links them all
+// (via the dpgen_benchsuite object library), prints the tables and runs
+// any subset of the benches with repeated trials, robust statistics and a
+// perf-regression gate:
 //
 //   dpgen-bench --list
-//       names every registered bench ("family/config").
+//       names every registered bench ("family/config"), then every table
+//       ("table <ID>").
+//
+//   dpgen-bench --table[=ID,...]
+//       prints the named "# <ID>" figure tables (EXPERIMENTS.md), or all
+//       of them in ID order; an unknown ID exits 2.
 //
 //   dpgen-bench [--filter=a,b] [--trials=N] [--warmup=N] [--json=FILE]
 //       runs the selected benches, prints median/MAD/min per bench and
@@ -40,12 +46,14 @@
 // self-test uses it to prove the gate fires on a synthetic regression.
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -81,6 +89,8 @@ struct Options {
   std::string schema_path;
   double self_test_slowdown = 1.0;
   bool list = false;
+  /// --table: comma-separated IDs, empty for every table.
+  std::optional<std::string> table;
 };
 
 int usage(const char* argv0) {
@@ -94,8 +104,9 @@ int usage(const char* argv0) {
       "       %s --trend=FILE.html [--archive-dir=DIR]\n"
       "       %s --validate=FILE [--schema=SCHEMA]   (schema inferred "
       "from the doc's id when omitted)\n"
+      "       %s --table[=ID,...]\n"
       "       %s --list\n",
-      argv0, argv0, argv0, argv0);
+      argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -153,9 +164,34 @@ int run_validate(const Options& opt) {
 }
 
 int run_list() {
-  for (const std::string& name :
-       obs::BenchRegistry::instance().select(""))
+  const auto& reg = obs::BenchRegistry::instance();
+  for (const std::string& name : reg.select(""))
     std::printf("%s\n", name.c_str());
+  for (const auto& [id, print] : reg.tables())
+    std::printf("table %s\n", id.c_str());
+  return 0;
+}
+
+/// Prints the tables named in `ids` (all of them when empty); an unknown
+/// ID prints usage before any table runs.
+int run_tables(const std::string& ids, const char* argv0) {
+  const auto& tables = obs::BenchRegistry::instance().tables();
+  std::vector<std::string> names;
+  if (ids.empty()) {
+    for (const auto& [id, print] : tables) names.push_back(id);
+  } else {
+    names = split(ids, ",");
+  }
+  for (const std::string& id : names) {
+    if (!tables.count(id)) {
+      std::fprintf(stderr, "dpgen-bench: unknown table '%s'\n", id.c_str());
+      return usage(argv0);
+    }
+  }
+  for (const std::string& id : names) {
+    tables.at(id)();
+    std::fflush(stdout);
+  }
   return 0;
 }
 
@@ -299,39 +335,50 @@ int run_gate(const Options& opt, const obs::BenchDoc& run) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      return starts_with(arg, prefix) ? arg.c_str() + std::strlen(prefix)
-                                      : nullptr;
-    };
-    if (arg == "--list") opt.list = true;
-    else if (arg == "--save-baseline") opt.save_baseline = true;
-    else if (arg == "--archive") opt.archive = true;
-    else if (arg == "--gate") opt.gate = true;
-    else if (const char* v = value("--filter=")) opt.filter = v;
-    else if (const char* v = value("--trials=")) opt.trials = std::atoi(v);
-    else if (const char* v = value("--warmup=")) opt.warmup = std::atoi(v);
-    else if (const char* v = value("--json=")) opt.json_path = v;
-    else if (const char* v = value("--baseline=")) opt.baseline_path = v;
-    else if (const char* v = value("--archive-dir=")) opt.archive_dir = v;
-    else if (const char* v = value("--gate-json=")) opt.gate_json_path = v;
-    else if (const char* v = value("--min-delta=")) opt.min_delta = std::atof(v);
-    else if (const char* v = value("--mad-factor=")) opt.mad_factor = std::atof(v);
-    else if (const char* v = value("--min-abs-delta="))
-      opt.min_abs_delta = std::atof(v);
-    else if (const char* v = value("--trend=")) opt.trend_path = v;
-    else if (const char* v = value("--validate=")) opt.validate_path = v;
-    else if (const char* v = value("--schema=")) opt.schema_path = v;
-    else if (const char* v = value("--self-test-slowdown="))
-      opt.self_test_slowdown = std::atof(v);
-    else return usage(argv[0]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&](const char* prefix) -> const char* {
+        return starts_with(arg, prefix) ? arg.c_str() + std::strlen(prefix)
+                                        : nullptr;
+      };
+      if (arg == "--list") opt.list = true;
+      else if (arg == "--table") opt.table = "";
+      else if (arg == "--save-baseline") opt.save_baseline = true;
+      else if (arg == "--archive") opt.archive = true;
+      else if (arg == "--gate") opt.gate = true;
+      else if (const char* v = value("--table=")) opt.table = v;
+      else if (const char* v = value("--filter=")) opt.filter = v;
+      else if (const char* v = value("--trials="))
+        opt.trials = static_cast<int>(parse_int(v, "--trials", 1, INT_MAX));
+      else if (const char* v = value("--warmup="))
+        opt.warmup = static_cast<int>(parse_int(v, "--warmup", 0, INT_MAX));
+      else if (const char* v = value("--json=")) opt.json_path = v;
+      else if (const char* v = value("--baseline=")) opt.baseline_path = v;
+      else if (const char* v = value("--archive-dir=")) opt.archive_dir = v;
+      else if (const char* v = value("--gate-json=")) opt.gate_json_path = v;
+      else if (const char* v = value("--min-delta="))
+        opt.min_delta = parse_double(v, "--min-delta");
+      else if (const char* v = value("--mad-factor="))
+        opt.mad_factor = parse_double(v, "--mad-factor");
+      else if (const char* v = value("--min-abs-delta="))
+        opt.min_abs_delta = parse_double(v, "--min-abs-delta");
+      else if (const char* v = value("--trend=")) opt.trend_path = v;
+      else if (const char* v = value("--validate=")) opt.validate_path = v;
+      else if (const char* v = value("--schema=")) opt.schema_path = v;
+      else if (const char* v = value("--self-test-slowdown="))
+        opt.self_test_slowdown = parse_double(v, "--self-test-slowdown");
+      else return usage(argv[0]);
+    }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "dpgen-bench: error: %s\n", e.what());
+    return 2;
   }
-  if (opt.trials < 1 || opt.warmup < 0 || opt.self_test_slowdown <= 0.0)
-    return usage(argv[0]);
+  if (opt.self_test_slowdown <= 0.0) return usage(argv[0]);
 
   try {
     if (opt.list) return run_list();
+    if (opt.table) return run_tables(*opt.table, argv[0]);
     if (!opt.validate_path.empty()) return run_validate(opt);
     if (!opt.trend_path.empty()) return run_trend(opt);
 

@@ -41,9 +41,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -72,7 +74,7 @@ struct Options {
   bool sim = false;
   int nodes = 4;
   int cores = 2;
-  std::vector<double> slowdown;  // sparse --slow-node=I:F, sized later
+  std::map<int, double> slowdown;  // --slow-node=I:F, by node
   double interval = 0.0;         // 0 = mode default
   double refresh = 0.2;
   std::string faults;            // FaultPlan text, engine mode only
@@ -129,8 +131,14 @@ const Entry* find_entry(const std::string& name) {
 IntVec parse_csv(const std::string& text) {
   IntVec out;
   for (const std::string& part : split(text, ","))
-    out.push_back(std::atoll(part.c_str()));
+    out.push_back(parse_int(part, "--params"));
   return out;
+}
+
+/// A count flag (--ranks, --threads, --nodes, --cores), parsed strictly
+/// with the launcher's lower bound of 1.
+int count_flag(const char* v, const char* flag) {
+  return static_cast<int>(parse_int(v, flag, 1, INT_MAX));
 }
 
 int usage(const char* argv0) {
@@ -455,10 +463,9 @@ int run_sim_top(const Options& opt, const Entry& entry,
   cfg.monitor_interval_s = opt.interval;
   if (!opt.slowdown.empty()) {
     cfg.node_slowdown.assign(static_cast<std::size_t>(opt.nodes), 1.0);
-    for (std::size_t n = 0; n < opt.slowdown.size() &&
-                            n < cfg.node_slowdown.size();
-         ++n)
-      if (opt.slowdown[n] > 0) cfg.node_slowdown[n] = opt.slowdown[n];
+    for (const auto& [node, factor] : opt.slowdown)
+      if (node < opt.nodes && factor > 0)
+        cfg.node_slowdown[static_cast<std::size_t>(node)] = factor;
   }
   sim::SimResult res = sim::simulate(model, params, cfg);
 
@@ -542,37 +549,47 @@ int run_sim_top(const Options& opt, const Entry& entry,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const std::size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? argv[i] + n : nullptr;
-    };
-    if (const char* v = value("--problem=")) opt.problem = v;
-    else if (const char* v = value("--params=")) opt.params = parse_csv(v);
-    else if (const char* v = value("--ranks=")) opt.ranks = std::atoi(v);
-    else if (const char* v = value("--threads=")) opt.threads = std::atoi(v);
-    else if (arg == "--sim") opt.sim = true;
-    else if (const char* v = value("--nodes=")) opt.nodes = std::atoi(v);
-    else if (const char* v = value("--cores=")) opt.cores = std::atoi(v);
-    else if (const char* v = value("--slow-node=")) {
-      const std::vector<std::string> parts = split(v, ":");
-      if (parts.size() != 2) return usage(argv[0]);
-      const std::size_t node =
-          static_cast<std::size_t>(std::atoll(parts[0].c_str()));
-      if (opt.slowdown.size() <= node) opt.slowdown.resize(node + 1, 0.0);
-      opt.slowdown[node] = std::atof(parts[1].c_str());
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&](const char* prefix) -> const char* {
+        const std::size_t n = std::strlen(prefix);
+        return arg.compare(0, n, prefix) == 0 ? argv[i] + n : nullptr;
+      };
+      if (const char* v = value("--problem=")) opt.problem = v;
+      else if (const char* v = value("--params=")) opt.params = parse_csv(v);
+      else if (const char* v = value("--ranks="))
+        opt.ranks = count_flag(v, "--ranks");
+      else if (const char* v = value("--threads="))
+        opt.threads = count_flag(v, "--threads");
+      else if (arg == "--sim") opt.sim = true;
+      else if (const char* v = value("--nodes="))
+        opt.nodes = count_flag(v, "--nodes");
+      else if (const char* v = value("--cores="))
+        opt.cores = count_flag(v, "--cores");
+      else if (const char* v = value("--slow-node=")) {
+        const std::vector<std::string> parts = split(v, ":");
+        if (parts.size() != 2) return usage(argv[0]);
+        const int node = static_cast<int>(
+            parse_int(parts[0], "--slow-node NODE", 0, INT_MAX));
+        opt.slowdown[node] = parse_double(parts[1], "--slow-node FACTOR");
+      }
+      else if (const char* v = value("--interval="))
+        opt.interval = parse_double(v, "--interval");
+      else if (const char* v = value("--refresh="))
+        opt.refresh = parse_double(v, "--refresh");
+      else if (const char* v = value("--faults=")) opt.faults = v;
+      else if (const char* v = value("--checkpoint=")) opt.checkpoint_path = v;
+      else if (const char* v = value("--events=")) opt.events_path = v;
+      else if (const char* v = value("--html=")) opt.html_path = v;
+      else if (arg == "--profile") opt.profile = true;
+      else if (arg == "--check") opt.check = true;
+      else if (arg == "--list") opt.list = true;
+      else return usage(argv[0]);
     }
-    else if (const char* v = value("--interval=")) opt.interval = std::atof(v);
-    else if (const char* v = value("--refresh=")) opt.refresh = std::atof(v);
-    else if (const char* v = value("--faults=")) opt.faults = v;
-    else if (const char* v = value("--checkpoint=")) opt.checkpoint_path = v;
-    else if (const char* v = value("--events=")) opt.events_path = v;
-    else if (const char* v = value("--html=")) opt.html_path = v;
-    else if (arg == "--profile") opt.profile = true;
-    else if (arg == "--check") opt.check = true;
-    else if (arg == "--list") opt.list = true;
-    else return usage(argv[0]);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "dpgen-top: error: %s\n", e.what());
+    return 2;
   }
 
   if (opt.list) {
