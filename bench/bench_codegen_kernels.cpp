@@ -11,7 +11,7 @@
 // — not wall clock: runtime setup and pack/unpack are identical across
 // variants and would dilute the center-loop effect the passes target.  A
 // trial asserts spans_dropped == 0 so the attribution is complete (the
-// workloads are sized under the tracer ring capacity).
+// workloads are sized under the span ring capacity).
 //
 // scripts/check.sh gates the full/none cells_per_sec ratio of these benches
 // (>= 1.3x on at least two families); dpgen-bench tracks their medians
@@ -70,7 +70,7 @@ const std::string& scratch_dir() {
 }
 
 /// One benchmark family: the generator input plus the run geometry.  The
-/// parameter values are chosen so the tile count stays under the tracer
+/// parameter values are chosen so the tile count stays under the span
 /// ring capacity (spans_dropped must be 0 for honest attribution) while
 /// the cell count is large enough to dominate per-tile overhead.
 struct Family {

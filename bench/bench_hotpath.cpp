@@ -19,7 +19,6 @@
 #include <chrono>
 
 #include "engine/engine.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/tile_table.hpp"
 
 namespace {
@@ -27,16 +26,13 @@ namespace {
 using namespace dpgen;
 using namespace dpgen::benchutil;
 
-std::int64_t counter_value(const char* name) {
-  return obs::MetricsRegistry::instance().counter(name).value();
-}
-
 struct HotpathRow {
   double seconds = 0.0;
   long long tiles = 0;
   long long edges = 0;
   long long edge_allocs = 0;
   long long pool_hits = 0;
+  unsigned long long bytes_sent = 0;
 };
 
 HotpathRow run_once(const tiling::TilingModel& model, Int n, int ranks,
@@ -48,8 +44,6 @@ HotpathRow run_once(const tiling::TilingModel& model, Int n, int ranks,
   if (monitored) opt.monitor_path = "-";  // live telemetry, no event log
   if (profiled) opt.profile_path = "-";   // sampling profiler, no document
   if (msgtraced) opt.msgtrace_json_path = "-";  // collect records, no doc
-  std::int64_t alloc0 = counter_value("runtime.edge_alloc");
-  std::int64_t hit0 = counter_value("runtime.pool_hit");
   auto r = engine::run(model, {n}, [](const engine::Cell& c) {
     c.V[c.loc] = 1.0;
     for (int j = 0; j < 2; ++j)
@@ -60,9 +54,10 @@ HotpathRow run_once(const tiling::TilingModel& model, Int n, int ranks,
     row.tiles += s.tiles_executed;
     row.edges += s.local_edges + s.remote_edges;
     row.seconds = std::max(row.seconds, s.total_seconds);
+    row.edge_allocs += s.edge_allocs;
+    row.pool_hits += s.pool_hits;
+    row.bytes_sent += s.bytes_sent;
   }
-  row.edge_allocs = counter_value("runtime.edge_alloc") - alloc0;
-  row.pool_hits = counter_value("runtime.pool_hit") - hit0;
   return row;
 }
 
@@ -102,12 +97,8 @@ obs::BenchSample hotpath_sample(Int width, Int n, int ranks,
                                 bool monitored = false, bool profiled = false,
                                 bool msgtraced = false) {
   tiling::TilingModel model(grid_spec(width));
-  std::int64_t bytes0 =
-      obs::MetricsRegistry::instance().counter("comm.bytes_sent").value();
   HotpathRow row = run_once(model, n, ranks, monitored, profiled, msgtraced);
-  const double bytes_on_wire = static_cast<double>(
-      obs::MetricsRegistry::instance().counter("comm.bytes_sent").value() -
-      bytes0);
+  const double bytes_on_wire = static_cast<double>(row.bytes_sent);
   obs::BenchSample s;
   s.seconds = row.seconds;
   const double eps = row.seconds > 0 ? row.edges / row.seconds : 0.0;

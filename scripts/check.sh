@@ -5,7 +5,7 @@
 # and extra build flavours —
 #   * the timing-sensitive suites repeated 20 times (flake leg),
 #   * ThreadSanitizer over the concurrency-heavy suites (the runtime,
-#     comm layer and tracer are lock-free on their hot paths),
+#     comm layer and record rings are lock-free on their hot paths),
 #   * AddressSanitizer + UndefinedBehaviorSanitizer over the suites that
 #     index tile buffers with raw arithmetic (interpreter, fuzz, recovery,
 #     tiling, codegen passes),
@@ -257,9 +257,11 @@ if [[ "${1:-}" != "--quick" ]]; then
   build/tools/dpgen-bench --table
 
   echo "==== flake leg (timing-sensitive suites, 20 repeats)"
-  # These suites assert on clock stamps, samplers and thread interleavings;
-  # a failure in any of 20 repeats is a flake to fix at its source.
-  ctest --test-dir build -j"$(nproc)" -R 'MsgTrace|Monitor|Chaos|Profile' \
+  # These suites assert on clock stamps, samplers and thread interleavings
+  # (LaunchConcurrency: two whole runs at once in one process); a failure
+  # in any of 20 repeats is a flake to fix at its source.
+  ctest --test-dir build -j"$(nproc)" \
+    -R 'MsgTrace|Monitor|Chaos|Profile|LaunchConcurrency' \
     --repeat until-fail:20
 
   echo "==== ThreadSanitizer pass (minimpi / runtime / obs / engine)"
@@ -287,8 +289,9 @@ if [[ "${1:-}" != "--quick" ]]; then
   # envelopes from every worker thread over the sharded tile table, so
   # the lifecycle stamps and per-thread record rings get a race check.
   # test_launch rides along next to the chaos suite: the restart loop
-  # lives in runtime::launch, and its throwing-run case unwinds every
-  # rank through the launcher's tracer guard.
+  # lives in runtime::launch, its throwing-run case unwinds every rank
+  # through the run's obs::Session and thread bindings, and its
+  # concurrent-launch case runs two sessions side by side.
   # test_recovery rides along: its 2- and 3-thread engine runs record
   # DecisionLog bytes through the kernel's run entry on every worker.
   cmake --build build-tsan --target test_minimpi test_runtime test_obs \

@@ -214,12 +214,4 @@ std::string system_test_cpp(const poly::System& sys,
   return join(parts, " && ");
 }
 
-void emit_obs_span(Writer& w, const std::string& var,
-                   const std::string& phase, const std::string& tile_expr) {
-  std::string decl = cat("dpgen::obs::ScopedSpan ", var,
-                         "(dpgen::obs::Phase::", phase);
-  if (!tile_expr.empty()) decl += cat(", ", tile_expr);
-  w.line(decl + ");");
-}
-
 }  // namespace dpgen::codegen

@@ -91,13 +91,4 @@ void emit_scan_coalesced(
 std::string system_test_cpp(const poly::System& sys,
                             const std::vector<std::string>& names);
 
-/// Emits a `dpgen::obs::ScopedSpan <var>(...)` declaration so generated
-/// programs record the same trace phases the library runtime does (the
-/// span compiles to nothing when the program is built with
-/// -DDPGEN_TRACE=0).  `phase` is the Phase enumerator name ("kLoadBalance");
-/// `tile_expr` is an optional `const dpgen::IntVec*` expression.
-void emit_obs_span(Writer& w, const std::string& var,
-                   const std::string& phase,
-                   const std::string& tile_expr = "");
-
 }  // namespace dpgen::codegen

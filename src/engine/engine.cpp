@@ -205,10 +205,7 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
 
   // One Ehrhart load-balance cut per attempt, over the ranks still alive.
   auto plan = [&](int alive) {
-    tiling::LoadBalancer balancer = [&] {
-      obs::ScopedSpan span(obs::Phase::kLoadBalance);
-      return tiling::LoadBalancer(model, params, alive, options.balance);
-    }();
+    tiling::LoadBalancer balancer(model, params, alive, options.balance);
     runtime::LaunchPlan<double> p;
     for (int r = 0; r < alive; ++r)
       p.predicted_work.push_back(static_cast<double>(balancer.owned_work(r)));

@@ -1,6 +1,6 @@
 #include "minimpi/transport.hpp"
 
-#include "obs/msgtrace.hpp"
+#include "obs/trace.hpp"
 #include "support/str.hpp"
 
 namespace dpgen::minimpi {
@@ -62,7 +62,7 @@ PostResult InProcessTransport::try_post(int src, int dst, Message& m) {
     std::lock_guard<std::mutex> lock(b.mu);
     if (capacity_ > 0 && b.queue.size() >= capacity_)
       return PostResult::kFull;
-    if (m.env.seq >= 0) m.env.admit_ns = obs::MsgTracer::now_ns();
+    if (m.env.seq >= 0) m.env.admit_ns = obs::now_ns();
     b.queue.push_back(std::move(m));
   }
   b.not_empty.notify_one();
@@ -145,7 +145,7 @@ void InProcessTransport::force_post(int dst, Message&& m) {
   {
     std::lock_guard<std::mutex> lock(b.mu);
     // Delayed / duplicated reinjections admit now, not when first posted.
-    if (m.env.seq >= 0) m.env.admit_ns = obs::MsgTracer::now_ns();
+    if (m.env.seq >= 0) m.env.admit_ns = obs::now_ns();
     b.queue.push_back(std::move(m));
   }
   b.not_empty.notify_one();

@@ -35,9 +35,9 @@ namespace dpgen::minimpi {
 /// Lifecycle envelope riding alongside the payload (never inside it — the
 /// wire bytes and the computed result stay identical with tracing on or
 /// off).  Sender and transport fill it in as the message moves; the
-/// receiver completes it into an obs::MsgRecord.  All stamps share the
-/// span tracer's steady clock.  seq < 0 means untraced (tracing disabled,
-/// or a control-plane/collective message).
+/// receiver completes it into an obs::MsgRecord.  All stamps are
+/// obs::now_ns() values, the spans' clock.  seq < 0 means untraced
+/// (tracing disabled, or a control-plane/collective message).
 struct MsgEnvelope {
   std::int64_t seq = -1;      ///< per-link (src -> dst) sequence number
   std::int64_t pack_ns = 0;   ///< sender: payload encode started

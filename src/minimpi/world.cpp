@@ -12,35 +12,10 @@
 
 namespace dpgen::minimpi {
 
-namespace {
-
-/// Cached registry handles (the send path must only touch atomics).
-obs::Counter& messages_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("comm.messages_sent");
-  return c;
-}
-obs::Counter& bytes_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("comm.bytes_sent");
-  return c;
-}
-obs::Counter& blocked_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("comm.blocked_sends");
-  return c;
-}
-obs::Histogram& message_bytes_histogram() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::instance().histogram("comm.message_bytes");
-  return h;
-}
-
-}  // namespace
-
 World::World(int nranks, std::size_t mailbox_capacity,
-             std::shared_ptr<Transport> transport)
-    : transport_(std::move(transport)) {
+             std::shared_ptr<Transport> transport,
+             obs::MetricsRegistry* metrics)
+    : transport_(std::move(transport)), metrics_(metrics) {
   DPGEN_CHECK(nranks >= 1, "world needs at least one rank");
   if (!transport_)
     transport_ =
@@ -54,13 +29,19 @@ World::World(int nranks, std::size_t mailbox_capacity,
     std::lock_guard<std::mutex> lock(barrier_mu_);
     barrier_cv_.notify_all();
   });
-  // Registry instruments are process-wide (shared by every source rank),
-  // so resolve each destination's handle once and hand it to all Comms.
-  std::vector<obs::Counter*> peer_messages, peer_bytes;
-  auto& registry = obs::MetricsRegistry::instance();
-  for (int r = 0; r < nranks; ++r) {
-    peer_messages.push_back(&registry.counter(cat("comm.messages_sent.to", r)));
-    peer_bytes.push_back(&registry.counter(cat("comm.bytes_sent.to", r)));
+  // Registry instruments are shared by every source rank, so resolve each
+  // handle once and hand it to all Comms (the send path only touches
+  // atomics).
+  std::vector<obs::Counter*> peer_messages(static_cast<std::size_t>(nranks)),
+      peer_bytes(static_cast<std::size_t>(nranks));
+  if (metrics) {
+    instruments_ = {&metrics->counter("comm.messages_sent"),
+                    &metrics->counter("comm.bytes_sent"),
+                    &metrics->histogram("comm.message_bytes")};
+    for (std::size_t r = 0; r < peer_messages.size(); ++r) {
+      peer_messages[r] = &metrics->counter(cat("comm.messages_sent.to", r));
+      peer_bytes[r] = &metrics->counter(cat("comm.bytes_sent.to", r));
+    }
   }
   for (int r = 0; r < nranks; ++r) {
     comms_.push_back(std::unique_ptr<Comm>(new Comm()));
@@ -111,16 +92,21 @@ void Comm::count_send(int dst, std::size_t bytes) {
   auto& peer = peers_[static_cast<std::size_t>(dst)];
   peer.messages.fetch_add(1, std::memory_order_relaxed);
   peer.bytes.fetch_add(bytes, std::memory_order_relaxed);
-  messages_counter().increment();
-  bytes_counter().add(static_cast<std::int64_t>(bytes));
+  const World::Instruments& in = world_->instruments_;
+  if (!in.messages) return;
+  in.messages->increment();
+  in.bytes->add(static_cast<std::int64_t>(bytes));
   peer.messages_counter->increment();
   peer.bytes_counter->add(static_cast<std::int64_t>(bytes));
-  message_bytes_histogram().observe(static_cast<std::int64_t>(bytes));
+  in.message_bytes->observe(static_cast<std::int64_t>(bytes));
 }
 
 void Comm::count_blocked() {
   ++blocked_sends_;
-  blocked_counter().increment();
+  // Looked up by name (off the hot path: the sender is backing off), so
+  // the counter appears only in the documents of runs that blocked.
+  if (obs::MetricsRegistry* reg = world_->metrics_)
+    reg->counter("comm.blocked_sends").increment();
 }
 
 void Comm::send_impl(int dst, int tag, std::vector<std::uint8_t>&& payload) {

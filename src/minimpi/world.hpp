@@ -36,6 +36,8 @@
 
 namespace dpgen::obs {
 class Counter;
+class Histogram;
+class MetricsRegistry;
 }
 
 namespace dpgen::minimpi {
@@ -196,7 +198,7 @@ class Comm {
   friend class World;
 
   /// Per-destination counters plus cached handles for the registry's
-  /// process-wide `comm.{messages,bytes}_sent.to<dst>` instruments.
+  /// `comm.{messages,bytes}_sent.to<dst>` instruments (null without one).
   struct PeerStats {
     std::atomic<std::uint64_t> messages{0};
     std::atomic<std::uint64_t> bytes{0};
@@ -232,8 +234,11 @@ class World {
   /// modelling the paper's configurable send/receive buffer counts.
   /// When `transport` is null an InProcessTransport is created; passing
   /// one explicitly (e.g. a FaultInjector stack) must agree on nranks.
+  /// Sends also count into `metrics`' `comm.*` instruments (the run's
+  /// registry); null = Comm's own counters only.
   explicit World(int nranks, std::size_t mailbox_capacity = 0,
-                 std::shared_ptr<Transport> transport = nullptr);
+                 std::shared_ptr<Transport> transport = nullptr,
+                 obs::MetricsRegistry* metrics = nullptr);
 
   int size() const { return static_cast<int>(comms_.size()); }
   Comm& comm(int rank) { return *comms_[static_cast<std::size_t>(rank)]; }
@@ -259,7 +264,16 @@ class World {
  private:
   friend class Comm;
 
+  /// The registry's comm-wide send instruments (all null without one).
+  struct Instruments {
+    obs::Counter* messages = nullptr;
+    obs::Counter* bytes = nullptr;
+    obs::Histogram* message_bytes = nullptr;
+  };
+
   std::shared_ptr<Transport> transport_;
+  obs::MetricsRegistry* metrics_;
+  Instruments instruments_;
   std::vector<std::unique_ptr<Comm>> comms_;  // Comm holds atomics: pinned
 
   // Barrier state.

@@ -52,7 +52,7 @@ struct AnalysisInput {
   /// Per-peer send totals, [source][destination].
   std::vector<std::vector<std::uint64_t>> bytes_matrix;
   std::vector<std::vector<std::uint64_t>> messages_matrix;
-  /// Tracer::dropped() at export time: nonzero means the timeline (and
+  /// Spans the run's rings dropped: nonzero means the timeline (and
   /// therefore every reading of it) is incomplete.
   std::uint64_t spans_dropped = 0;
   std::string source;   ///< "engine" | "generated" | "sim" | "trace"
@@ -64,7 +64,7 @@ struct AnalysisInput {
   /// Per-message lifecycle records (causal message tracing); empty =
   /// untraced run, msgtrace analyses are skipped.
   std::vector<MsgRecord> msg_records;
-  /// MsgTracer::dropped() at export time.
+  /// Message records the run's rings dropped.
   std::uint64_t msg_records_dropped = 0;
 };
 

@@ -12,7 +12,7 @@ namespace dpgen::obs {
 namespace {
 
 /// Microsecond timestamp with nanosecond precision (trace-event "ts").
-/// Timestamps are steady-clock offsets from the tracer epoch, never
+/// Timestamps are steady-clock offsets from the trace epoch, never
 /// negative; anything else is clamped to zero.
 std::string us_from_ns(std::int64_t ns) {
   if (ns < 0) ns = 0;

@@ -17,8 +17,8 @@
 
 namespace dpgen::obs {
 
-/// Renders spans as a Chrome trace-event JSON document.  `dropped` is
-/// Tracer::dropped() at export time; it is surfaced in the document's
+/// Renders spans as a Chrome trace-event JSON document.  `dropped` counts
+/// the spans the run's rings overwrote; it is surfaced in the document's
 /// "metadata" object ("spans_dropped") so a reader — human or the
 /// analyzer — knows when ring-buffer overflow truncated the timeline.
 /// When `msgs` is non-empty each message record also emits a Perfetto

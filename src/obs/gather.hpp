@@ -1,116 +1,73 @@
 #pragma once
-// End-of-run trace merge: every rank ships its span buffer to rank 0
-// through the comm layer's collectives, mirroring what real MPI ranks
-// would do (MPI_Allreduce for the size, MPI_Gather for the payload).
+// End-of-run record merge: every rank ships its spans or message records
+// to rank 0 through the comm layer's collectives, mirroring what real MPI
+// ranks would do (MPI_Allreduce for the size, MPI_Gather for the payload).
 //
 // Header-only and duck-typed on the Comm interface so obs does not link
 // against minimpi (minimpi itself records spans, which would otherwise be
 // a dependency cycle).
 
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
-#include "obs/msgtrace.hpp"
-#include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace dpgen::obs {
 
-/// Serializes spans into the fixed-size wire format [count, Span...].
-inline std::vector<std::uint8_t> serialize_spans(
-    const std::vector<Span>& spans) {
+/// Serializes records into the fixed-size wire format [count, T...].
+template <typename T>
+std::vector<std::uint8_t> serialize_records(const std::vector<T>& records) {
+  static_assert(std::is_trivially_copyable_v<T>, "records are wire format");
   std::vector<std::uint8_t> out(sizeof(std::uint64_t) +
-                                spans.size() * sizeof(Span));
-  const std::uint64_t count = spans.size();
-  std::memcpy(out.data(), &count, sizeof(count));
-  if (!spans.empty())
-    std::memcpy(out.data() + sizeof(count), spans.data(),
-                spans.size() * sizeof(Span));
-  return out;
-}
-
-/// Inverse of serialize_spans; tolerates trailing padding bytes.
-inline std::vector<Span> deserialize_spans(const std::uint8_t* data,
-                                           std::size_t bytes) {
-  DPGEN_CHECK(bytes >= sizeof(std::uint64_t), "malformed span buffer");
-  std::uint64_t count = 0;
-  std::memcpy(&count, data, sizeof(count));
-  DPGEN_CHECK(bytes >= sizeof(count) + count * sizeof(Span),
-              "span buffer length mismatch");
-  std::vector<Span> spans(count);
-  if (count)
-    std::memcpy(spans.data(), data + sizeof(count), count * sizeof(Span));
-  return spans;
-}
-
-/// Gathers every rank's recorded spans to rank 0, which adds them to the
-/// tracer's merged set.  Collective: every rank of the communicator must
-/// call it (run_node does, after its final barrier).  CommT needs rank(),
-/// allreduce_max(double) and gather(root, data, bytes, out) — the shape
-/// of both minimpi::Comm and an MPI wrapper.
-template <typename CommT>
-void gather_and_merge(CommT& comm) {
-  Tracer& tracer = Tracer::instance();
-  std::vector<std::uint8_t> mine =
-      serialize_spans(tracer.collect_rank(comm.rank()));
-  // Ranks trace different amounts; gather needs one fixed size, so pad
-  // everyone to the largest buffer (the count prefix marks the real end).
-  const auto max_bytes = static_cast<std::size_t>(
-      comm.allreduce_max(static_cast<double>(mine.size())));
-  mine.resize(max_bytes, 0);
-  std::vector<std::uint8_t> all;
-  comm.gather(0, mine.data(), mine.size(), &all);
-  if (comm.rank() == 0) {
-    for (std::size_t off = 0; off < all.size(); off += max_bytes)
-      tracer.add_merged(deserialize_spans(all.data() + off, max_bytes));
-  }
-}
-
-/// Serializes message records into the wire format [count, MsgRecord...].
-inline std::vector<std::uint8_t> serialize_msgs(
-    const std::vector<MsgRecord>& records) {
-  std::vector<std::uint8_t> out(sizeof(std::uint64_t) +
-                                records.size() * sizeof(MsgRecord));
+                                records.size() * sizeof(T));
   const std::uint64_t count = records.size();
   std::memcpy(out.data(), &count, sizeof(count));
   if (!records.empty())
     std::memcpy(out.data() + sizeof(count), records.data(),
-                records.size() * sizeof(MsgRecord));
+                records.size() * sizeof(T));
   return out;
 }
 
-/// Inverse of serialize_msgs; tolerates trailing padding bytes.
-inline std::vector<MsgRecord> deserialize_msgs(const std::uint8_t* data,
-                                               std::size_t bytes) {
-  DPGEN_CHECK(bytes >= sizeof(std::uint64_t), "malformed msg buffer");
+/// Inverse of serialize_records; tolerates trailing padding bytes.  The
+/// count is bounded by the bytes present before anything is sized from
+/// it, so a hostile count cannot wrap the length check.
+template <typename T>
+std::vector<T> deserialize_records(const std::uint8_t* data,
+                                   std::size_t bytes) {
+  DPGEN_CHECK(bytes >= sizeof(std::uint64_t), "malformed record buffer");
   std::uint64_t count = 0;
   std::memcpy(&count, data, sizeof(count));
-  DPGEN_CHECK(bytes >= sizeof(count) + count * sizeof(MsgRecord),
-              "msg buffer length mismatch");
-  std::vector<MsgRecord> records(count);
+  DPGEN_CHECK(count <= (bytes - sizeof(count)) / sizeof(T),
+              "record buffer length mismatch");
+  std::vector<T> records(count);
   if (count)
-    std::memcpy(records.data(), data + sizeof(count),
-                count * sizeof(MsgRecord));
+    std::memcpy(records.data(), data + sizeof(count), count * sizeof(T));
   return records;
 }
 
-/// gather_and_merge for message lifecycle records: each rank ships the
-/// records it *received* (collect_rank filters on destination) to rank 0.
-/// Collective, same contract as gather_and_merge.
-template <typename CommT>
-void gather_and_merge_msgs(CommT& comm) {
-  MsgTracer& tracer = MsgTracer::instance();
-  std::vector<std::uint8_t> mine =
-      serialize_msgs(tracer.collect_rank(comm.rank()));
+/// Gathers every rank's `mine` to rank 0 and returns the concatenation
+/// there (empty on the other ranks).  Collective: every rank of the
+/// communicator must call it.  CommT needs allreduce_max(double) and
+/// gather(root, data, bytes, out) — the shape of both minimpi::Comm and
+/// an MPI wrapper.
+template <typename T, typename CommT>
+std::vector<T> gather_records(CommT& comm, const std::vector<T>& mine) {
+  std::vector<std::uint8_t> buf = serialize_records(mine);
+  // Ranks record different amounts; gather needs one fixed size, so pad
+  // everyone to the largest buffer (the count prefix marks the real end).
   const auto max_bytes = static_cast<std::size_t>(
-      comm.allreduce_max(static_cast<double>(mine.size())));
-  mine.resize(max_bytes, 0);
+      comm.allreduce_max(static_cast<double>(buf.size())));
+  buf.resize(max_bytes, 0);
   std::vector<std::uint8_t> all;
-  comm.gather(0, mine.data(), mine.size(), &all);
-  if (comm.rank() == 0) {
-    for (std::size_t off = 0; off < all.size(); off += max_bytes)
-      tracer.add_merged(deserialize_msgs(all.data() + off, max_bytes));
+  comm.gather(0, buf.data(), buf.size(), &all);
+  std::vector<T> out;
+  for (std::size_t off = 0; off < all.size(); off += max_bytes) {
+    std::vector<T> part = deserialize_records<T>(all.data() + off, max_bytes);
+    out.insert(out.end(), part.begin(), part.end());
   }
+  return out;
 }
 
 }  // namespace dpgen::obs

@@ -90,19 +90,6 @@ double Histogram::quantile(double q) const {
   return static_cast<double>(max());
 }
 
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
-MetricsRegistry& MetricsRegistry::instance() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
@@ -180,13 +167,6 @@ std::string MetricsRegistry::to_text() const {
     out += cat(name, ".p99 ", quantile_str(*h, 0.99), "\n");
   }
   return out;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 }  // namespace dpgen::obs

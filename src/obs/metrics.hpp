@@ -29,7 +29,6 @@ class Counter {
   std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -49,13 +48,6 @@ class Gauge {
     return value_.load(std::memory_order_relaxed);
   }
   std::int64_t max() const { return max_.load(std::memory_order_relaxed); }
-  /// Clears the level AND the high-water mark: back-to-back runs in one
-  /// process must not inherit the previous run's peak through
-  /// MetricsRegistry::reset().
-  void reset() {
-    value_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -86,8 +78,6 @@ class Histogram {
   /// Exact at the bucket boundaries; within a factor of 2 inside.
   double quantile(double q) const;
 
-  void reset();
-
  private:
   std::atomic<std::int64_t> buckets_[kBuckets] = {};
   std::atomic<std::int64_t> count_{0};
@@ -96,13 +86,11 @@ class Histogram {
   std::atomic<std::int64_t> max_{0};
 };
 
-/// Process-wide registry of named instruments.  Names are stable for the
-/// life of the process; reset() zeroes values but keeps instruments so
-/// cached references stay valid.
+/// Registry of named instruments.  Each run owns one (obs::Session), so
+/// its document covers that run only.  Instruments live as long as the
+/// registry, so callers may cache the returned references.
 class MetricsRegistry {
  public:
-  static MetricsRegistry& instance();
-
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
@@ -111,8 +99,6 @@ class MetricsRegistry {
   std::string to_json() const;
   /// One `name value` line per instrument (Prometheus-flavoured).
   std::string to_text() const;
-
-  void reset();
 
  private:
   mutable std::mutex mu_;

@@ -1,4 +1,4 @@
-// Per-message lifecycle records: rings, queueing decomposition and the
+// Per-message lifecycle records: recording, queueing decomposition and the
 // dpgen.msgtrace.v1 document.  See msgtrace.hpp for the design rationale.
 
 #include "obs/msgtrace.hpp"
@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "obs/session.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/str.hpp"
@@ -34,97 +35,8 @@ MsgQueueing decompose(const std::vector<MsgRecord>& records) {
   return total;
 }
 
-MsgTracer& MsgTracer::instance() {
-  static MsgTracer tracer;
-  return tracer;
-}
-
-MsgTracer::ThreadBuffer& MsgTracer::local_buffer() {
-  thread_local ThreadBuffer* tl_buffer = nullptr;
-  if (tl_buffer) return *tl_buffer;
-  auto buf = std::make_unique<ThreadBuffer>();
-  buf->ring.resize(kRingCapacity);
-  ThreadBuffer* raw = buf.get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers_.push_back(std::move(buf));  // addresses stay pinned
-  }
-  tl_buffer = raw;
-  return *raw;
-}
-
-void MsgTracer::record(const MsgRecord& r) {
-  if (!enabled()) return;
-  ThreadBuffer& buf = local_buffer();
-  const std::uint64_t head = buf.head.load(std::memory_order_relaxed);
-  buf.ring[head % kRingCapacity] = r;
-  if (head >= kRingCapacity)
-    buf.dropped.fetch_add(1, std::memory_order_relaxed);
-  // Publish after the slot write so collectors never read a torn record.
-  buf.head.store(head + 1, std::memory_order_release);
-}
-
-namespace {
-
-bool record_packs_earlier(const MsgRecord& a, const MsgRecord& b) {
-  return a.pack_ns < b.pack_ns;
-}
-
-}  // namespace
-
-std::vector<MsgRecord> MsgTracer::collect_rank(int rank) const {
-  std::vector<MsgRecord> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& buf : buffers_) {
-    const std::uint64_t head = buf->head.load(std::memory_order_acquire);
-    const std::uint64_t n = std::min<std::uint64_t>(head, kRingCapacity);
-    for (std::uint64_t i = head - n; i < head; ++i) {
-      const MsgRecord& r = buf->ring[i % kRingCapacity];
-      if (r.dst == rank) out.push_back(r);
-    }
-  }
-  std::sort(out.begin(), out.end(), record_packs_earlier);
-  return out;
-}
-
-std::vector<MsgRecord> MsgTracer::collect_all() const {
-  std::vector<MsgRecord> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& buf : buffers_) {
-    const std::uint64_t head = buf->head.load(std::memory_order_acquire);
-    const std::uint64_t n = std::min<std::uint64_t>(head, kRingCapacity);
-    for (std::uint64_t i = head - n; i < head; ++i)
-      out.push_back(buf->ring[i % kRingCapacity]);
-  }
-  std::sort(out.begin(), out.end(), record_packs_earlier);
-  return out;
-}
-
-std::vector<MsgRecord> MsgTracer::merged() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return merged_;
-}
-
-void MsgTracer::add_merged(std::vector<MsgRecord> records) {
-  std::lock_guard<std::mutex> lock(mu_);
-  merged_.insert(merged_.end(), records.begin(), records.end());
-}
-
-std::uint64_t MsgTracer::dropped() const {
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& buf : buffers_)
-    total += buf->dropped.load(std::memory_order_relaxed);
-  return total;
-}
-
-void MsgTracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& buf : buffers_) {
-    buf->head.store(0, std::memory_order_release);
-    buf->dropped.store(0, std::memory_order_relaxed);
-  }
-  merged_.clear();
+void record_msg(const MsgRecord& r) {
+  if (RecordRing<MsgRecord>* ring = detail::t_recorders.msgs) ring->push(r);
 }
 
 // ---- dpgen.msgtrace.v1 ---------------------------------------------------

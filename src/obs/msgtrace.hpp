@@ -6,10 +6,10 @@
 // and the node driver fill in as the message moves: pack, hand-off to the
 // transport, mailbox admission, delivery by the receiver's poll, payload
 // unpack, and finally the dispatch of the dependent tile.  The receiver
-// completes the envelope into one MsgRecord and appends it to a per-thread
-// ring here — the same single-writer design as obs::Tracer's span rings,
-// and the records ride the same end-of-run gather (obs/gather.hpp) to
-// rank 0.
+// completes the envelope into one MsgRecord and appends it to the calling
+// thread's message ring in the run's obs::Session — the same single-writer
+// RecordRing the spans use — and the records ride the same end-of-run
+// gather (obs/gather.hpp) to rank 0.
 //
 // Envelope-only by construction: payload bytes and the computed RESULT
 // stay byte-identical whether tracing is on or off.
@@ -26,14 +26,11 @@
 //     conservation accounting (fault-injected drops and duplicates are
 //     expected gaps/repeats, not errors).
 //
-// Cost model matches the span tracer: -DDPGEN_TRACE=0 compiles recording
-// out; a disabled tracer costs one relaxed load per site.
+// Cost model matches the spans: -DDPGEN_TRACE=0 compiles recording out; a
+// thread without a message ring costs one thread-local load per site.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -45,8 +42,8 @@ namespace dpgen::obs {
 
 /// One completed message lifecycle.  Trivially copyable by design: rings
 /// are serialized with memcpy and shipped through minimpi::Comm::gather.
-/// All stamps are steady-clock nanoseconds since the Tracer epoch, so
-/// they are directly comparable with Span start/end times.
+/// All stamps are obs::now_ns() values, so they are directly comparable
+/// with Span start/end times.
 struct MsgRecord {
   std::int64_t seq = -1;         ///< per-link sequence number (src -> dst)
   std::int64_t pack_ns = 0;      ///< sender: edge pack started
@@ -100,57 +97,14 @@ MsgQueueing decompose(const MsgRecord& r);
 /// Aggregate decomposition over a record set.
 MsgQueueing decompose(const std::vector<MsgRecord>& records);
 
-/// Process-wide message-record collector; mirrors obs::Tracer (per-thread
-/// single-writer rings, merged set on the gather root).
-class MsgTracer {
- public:
-  /// Records one thread can hold before the oldest are overwritten.
-  static constexpr std::size_t kRingCapacity = 1u << 14;
+/// True when the calling thread is bound to a message-tracing Session.
+inline bool msg_tracing() {
+  return kTraceCompiled && detail::t_recorders.msgs != nullptr;
+}
 
-  static MsgTracer& instance();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on && kTraceCompiled, std::memory_order_relaxed);
-  }
-
-  /// Stamps share the span tracer's clock so flow events line up with
-  /// spans on the exported timeline.
-  static std::int64_t now_ns() { return Tracer::instance().now_ns(); }
-
-  /// Appends a completed record for the calling thread.
-  void record(const MsgRecord& r);
-
-  /// Every record whose destination is `rank` (writers quiesced).
-  std::vector<MsgRecord> collect_rank(int rank) const;
-  std::vector<MsgRecord> collect_all() const;
-
-  /// Records merged from all ranks (filled on the gather root).
-  std::vector<MsgRecord> merged() const;
-  void add_merged(std::vector<MsgRecord> records);
-
-  /// Records dropped because a thread's ring wrapped.
-  std::uint64_t dropped() const;
-
-  /// Forgets every recorded and merged record (buffers stay registered).
-  void clear();
-
- private:
-  struct ThreadBuffer {
-    std::vector<MsgRecord> ring;
-    std::atomic<std::uint64_t> head{0};  ///< total records ever written
-    std::atomic<std::uint64_t> dropped{0};
-  };
-
-  MsgTracer() = default;
-
-  ThreadBuffer& local_buffer();
-
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;  // guards buffers_ growth and merged_
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::vector<MsgRecord> merged_;
-};
+/// Appends a completed record to the calling thread's message ring; a
+/// no-op on a thread that is not message-tracing.
+void record_msg(const MsgRecord& r);
 
 // ---- dpgen.msgtrace.v1 document -----------------------------------------
 

@@ -201,15 +201,16 @@ inline constexpr int kMaxStride = 64;
 
 }  // namespace profdetail
 
-/// Process-wide sampling profiler.  One active run at a time (like the
-/// Tracer); start() arms it, worker threads register with thread_enter /
-/// thread_exit, stop() disarms and aggregates the document.
+/// Process-wide sampling profiler (SIGPROF handler state is inherently
+/// global).  One active run at a time: a profiling obs::Session start()s
+/// it, worker threads register with thread_enter / thread_exit, stop()
+/// disarms and aggregates the document.
 class Profiler {
  public:
   static Profiler& instance();
 
   /// True while a profiled run is active (one relaxed load; the driver
-  /// checks RunOptions::profile instead on the per-tile path).
+  /// checks Session::profiling() instead on the per-tile path).
   bool active() const { return active_.load(std::memory_order_relaxed); }
 
   /// True when the active run reads real perf events ("perf" mode).
@@ -244,7 +245,7 @@ class Profiler {
   };
   RankTotals rank_totals(int rank) const;
 
-  // ---- per-tile hot path (driver; call only when RunOptions::profile) ----
+  // ---- per-tile hot path (driver; call only when the Session profiles) ---
 
   /// Opens an exact counter window when this tile is due for measurement;
   /// returns whether it did (pass the result to tile_end).
@@ -313,7 +314,7 @@ class Profiler {
 };
 
 /// RAII worker-thread registration for the driver: enters on construction
-/// when `enabled` (RunOptions::profile) and the profiler is active, exits
+/// when `enabled` (Session::profiling()) and the profiler is active, exits
 /// on destruction.
 class ProfileThreadScope {
  public:

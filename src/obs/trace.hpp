@@ -1,29 +1,28 @@
 #pragma once
-// Runtime tracing: per-thread span buffers with Perfetto-compatible export.
+// Runtime tracing: spans with Perfetto-compatible export.
 //
 // Every phase of a hybrid run — tile execution, edge unpacking/packing,
 // sends, blocked sends, polling, idle backoff, barriers, load balancing —
-// is recorded as a Span (steady-clock nanoseconds, rank, thread, tile
-// coordinates) into a per-thread ring buffer.  Buffers are single-writer:
-// the owning thread appends without taking a lock; collection happens
-// after the writer quiesced (workers joined, barrier passed).  The spans
-// of all ranks are merged through minimpi::Comm::gather at the end of
-// run_node (see obs/gather.hpp) and exported as Chrome trace-event JSON
+// is recorded as a Span (steady-clock nanoseconds since one process-wide
+// epoch, rank, thread, tile coordinates) into the calling thread's ring of
+// the run's obs::Session (obs/session.hpp).  Rings are single-writer: the
+// bound thread appends without taking a lock; collection happens after
+// the writer quiesced (workers joined, barrier passed).  The spans of all
+// ranks are merged through minimpi::Comm::gather at the end of run_node
+// (see obs/gather.hpp) and exported as Chrome trace-event JSON
 // (obs/export.hpp) with one track per rank x thread, loadable in Perfetto
 // or chrome://tracing.
 //
 // Cost model (the instrumentation sits on the runtime's hottest paths):
 //   * compile time: building with -DDPGEN_TRACE=0 compiles every record
 //     call and ScopedSpan to nothing — the macro path check.sh verifies;
-//   * runtime: tracing is off by default; a disabled tracer costs one
-//     relaxed atomic load per span site and no clock reads.
+//   * runtime: a thread records only while a ThreadBinding to a tracing
+//     Session is live; otherwise a span site costs one thread-local
+//     pointer load and no clock reads.
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -87,7 +86,7 @@ inline bool frames_on() {
 /// One recorded interval.  Trivially copyable by design: rank buffers are
 /// serialized with memcpy and shipped through minimpi::Comm::gather.
 struct Span {
-  std::int64_t start_ns = 0;  ///< steady-clock ns since Tracer::epoch
+  std::int64_t start_ns = 0;  ///< now_ns() at the start
   std::int64_t end_ns = 0;
   std::array<std::int32_t, kMaxSpanDims> coord{};  ///< tile coordinates
   std::int16_t rank = -1;    ///< -1: outside any rank (setup phases)
@@ -98,93 +97,52 @@ struct Span {
 
 static_assert(std::is_trivially_copyable_v<Span>, "Span is wire format");
 
-/// Process-wide tracer.  Ranks in this reproduction are threads of one
-/// process, so a single registry holds every rank's buffers; the per-rank
-/// collect + gather path still mirrors what real MPI ranks would do.
-class Tracer {
- public:
-  /// Spans one thread can hold before the oldest are overwritten.
-  static constexpr std::size_t kRingCapacity = 1u << 16;
+/// Steady-clock nanoseconds since the process-wide trace epoch (the
+/// first call).  Spans, message stamps and the transport's admission
+/// stamps all share this clock, so they line up on one timeline.
+std::int64_t now_ns();
 
-  static Tracer& instance();
+struct MsgRecord;
+class Session;
+template <typename T>
+class RecordRing;
 
-  /// Runtime switch (cheap: one relaxed load on the disabled path).
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on && kTraceCompiled, std::memory_order_relaxed);
-  }
+namespace detail {
 
-  /// Tags the calling thread's future spans.  Called by the node driver
-  /// when a rank / worker thread starts.
-  static void set_identity(int rank, int thread);
-
-  /// Steady-clock nanoseconds since the tracer's epoch (monotone).
-  std::int64_t now_ns() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-  }
-
-  /// Records a span for the calling thread (identity + clock applied).
-  void record(Phase phase, std::int64_t start_ns, std::int64_t end_ns,
-              const IntVec* tile = nullptr);
-
-  /// Records a fully specified span (the cluster simulator uses this to
-  /// write its simulated schedule through the same API).
-  void record_raw(const Span& span);
-
-  /// Snapshot of every span recorded with exactly this rank (use -1 for
-  /// spans recorded outside any rank, e.g. setup phases).  Writers for
-  /// that rank must have quiesced (joined / past a barrier).
-  std::vector<Span> collect_rank(int rank) const;
-
-  /// Snapshot of every recorded span regardless of rank.
-  std::vector<Span> collect_all() const;
-
-  /// Spans merged from all ranks (filled on the gather root).
-  std::vector<Span> merged() const;
-  void add_merged(std::vector<Span> spans);
-
-  /// Spans dropped because a thread's ring wrapped.
-  std::uint64_t dropped() const;
-
-  /// Forgets every recorded and merged span (buffers stay registered so
-  /// long-lived threads keep a valid slot).  Call between runs.
-  void clear();
-
- private:
-  struct ThreadBuffer {
-    std::vector<Span> ring;
-    std::atomic<std::uint64_t> head{0};  ///< total spans ever written
-    std::atomic<std::uint64_t> dropped{0};
-    std::atomic<std::int32_t> rank{-1};
-    std::atomic<std::int32_t> thread{0};
-  };
-
-  friend class ScopedSpan;
-
-  Tracer() : epoch_(std::chrono::steady_clock::now()) {}
-
-  ThreadBuffer& local_buffer();
-  void collect_into(const ThreadBuffer& buf, bool filter, int want_rank,
-                    std::vector<Span>* out) const;
-
-  std::chrono::steady_clock::time_point epoch_;
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;  // guards buffers_ growth and merged_
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::vector<Span> merged_;
+/// Where the calling thread's records go and the identity they carry.
+/// Set and restored by obs::ThreadBinding (obs/session.hpp); null rings
+/// mean "not recording".
+struct ThreadRecorders {
+  Session* session = nullptr;
+  RecordRing<Span>* spans = nullptr;
+  RecordRing<MsgRecord>* msgs = nullptr;
+  std::int16_t rank = -1;  ///< -1: outside any rank (setup phases)
+  std::int16_t thread = 0;
 };
 
-/// RAII span: records [construction, destruction) when tracing is on.
+inline constinit thread_local ThreadRecorders t_recorders{};
+
+}  // namespace detail
+
+/// True when the calling thread is bound to a tracing Session.
+inline bool tracing() {
+  return kTraceCompiled && detail::t_recorders.spans != nullptr;
+}
+
+/// Records a span for the calling thread (its bound identity applied);
+/// a no-op on a thread that is not tracing.
+void record_span(Phase phase, std::int64_t start_ns, std::int64_t end_ns,
+                 const IntVec* tile = nullptr);
+
+/// RAII span: records [construction, destruction) when the thread is
+/// tracing.
 /// With DPGEN_TRACE=0 the whole class compiles to an empty object.
 class ScopedSpan {
  public:
 #if DPGEN_TRACE
   explicit ScopedSpan(Phase phase, const IntVec* tile = nullptr)
       : phase_(phase), tile_(tile) {
-    Tracer& t = Tracer::instance();
-    if (t.enabled()) start_ns_ = t.now_ns();
+    if (tracing()) start_ns_ = now_ns();
     if (profdetail::frames_on()) {
       profdetail::push_frame(phase);
       pushed_ = true;
@@ -200,8 +158,7 @@ class ScopedSpan {
   /// Ends the span early (idempotent).
   void close() {
     if (start_ns_ < 0) return;
-    Tracer& t = Tracer::instance();
-    t.record(phase_, start_ns_, t.now_ns(), tile_);
+    record_span(phase_, start_ns_, now_ns(), tile_);
     start_ns_ = -1;
   }
 

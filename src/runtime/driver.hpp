@@ -31,11 +31,13 @@
 // run inside an OpenMP parallel region instead, making the program a true
 // hybrid OpenMP + message-passing executable.
 //
-// Observability: every phase of the loop records an obs::ScopedSpan
-// (tile-execute spans carry the tile coordinates) and the counters feed
-// the obs::MetricsRegistry alongside the returned RunStats.  At the end
-// of the run the ranks' span buffers are merged to rank 0 through the
-// comm layer (obs/gather.hpp), ready for Chrome-trace export.
+// Observability: every thread of the rank binds to the run's obs::Session
+// (RunOptions::session), every phase of the loop records an
+// obs::ScopedSpan (tile-execute spans carry the tile coordinates) and the
+// counters feed the Session's MetricsRegistry alongside the returned
+// RunStats.  At the end of the run the ranks' spans and message records
+// are merged to rank 0 through the comm layer (obs/gather.hpp), ready for
+// export.
 
 #include <atomic>
 #include <chrono>
@@ -54,6 +56,7 @@
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "obs/profile.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/checkpoint.hpp"
@@ -153,11 +156,11 @@ struct RunOptions {
   /// fault-tolerant run whose restart replays sends); off by default so
   /// the clean path stays free of the guard's per-tile set insert.
   bool replay_guard = false;
-  /// Continuous profiling (obs/profile.hpp): worker threads register with
-  /// the process-wide Profiler (sampling timer + counter group each) and
-  /// tile executions feed the adaptive-stride counter windows.  The
-  /// profiler must have been start()ed by the caller (runtime::launch).
-  bool profile = false;
+  /// The run's observability state (not owned; null = none): rank and
+  /// worker threads bind to its rings, counters go to its registry, and
+  /// when it is profiling, workers register with the Profiler and tile
+  /// executions feed the adaptive-stride counter windows.
+  obs::Session* session = nullptr;
 };
 
 struct RunStats {
@@ -296,35 +299,35 @@ class Backoff {
 /// Per-run cached handles into the metrics registry (name lookups are
 /// mutex-guarded; the hot loop must only touch atomics).
 struct DriverMetrics {
-  obs::Counter& tiles = obs::MetricsRegistry::instance().counter(
-      "runtime.tiles_executed");
-  obs::Counter& local_edges = obs::MetricsRegistry::instance().counter(
-      "runtime.local_edges");
-  obs::Counter& remote_edges = obs::MetricsRegistry::instance().counter(
-      "runtime.remote_edges");
-  obs::Counter& polls =
-      obs::MetricsRegistry::instance().counter("runtime.polls");
-  obs::Counter& idle_ns = obs::MetricsRegistry::instance().counter(
-      "runtime.idle_ns");
-  obs::Counter& blocked_send_ns = obs::MetricsRegistry::instance().counter(
-      "runtime.blocked_send_ns");
+  obs::Counter& tiles;
+  obs::Counter& local_edges;
+  obs::Counter& remote_edges;
+  obs::Counter& polls;
+  obs::Counter& idle_ns;
+  obs::Counter& blocked_send_ns;
   /// Buffer-pool misses (real allocations) and hits on the edge path.
-  obs::Counter& edge_alloc = obs::MetricsRegistry::instance().counter(
-      "runtime.edge_alloc");
-  obs::Counter& pool_hit = obs::MetricsRegistry::instance().counter(
-      "runtime.pool_hit");
-  obs::Histogram& tile_ns = obs::MetricsRegistry::instance().histogram(
-      "runtime.tile_latency_ns");
-  obs::Histogram& payload_scalars =
-      obs::MetricsRegistry::instance().histogram(
-          "runtime.edge_payload_scalars");
+  obs::Counter& edge_alloc;
+  obs::Counter& pool_hit;
+  obs::Histogram& tile_ns;
+  obs::Histogram& payload_scalars;
+  obs::Gauge& ready_depth;
   /// Per-edge-direction remote send counts (index = edge id).
   std::vector<obs::Counter*> edge_sent;
 
-  explicit DriverMetrics(int num_edges) {
+  DriverMetrics(obs::MetricsRegistry& reg, int num_edges)
+      : tiles(reg.counter("runtime.tiles_executed")),
+        local_edges(reg.counter("runtime.local_edges")),
+        remote_edges(reg.counter("runtime.remote_edges")),
+        polls(reg.counter("runtime.polls")),
+        idle_ns(reg.counter("runtime.idle_ns")),
+        blocked_send_ns(reg.counter("runtime.blocked_send_ns")),
+        edge_alloc(reg.counter("runtime.edge_alloc")),
+        pool_hit(reg.counter("runtime.pool_hit")),
+        tile_ns(reg.histogram("runtime.tile_latency_ns")),
+        payload_scalars(reg.histogram("runtime.edge_payload_scalars")),
+        ready_depth(reg.gauge("runtime.ready_queue_depth")) {
     for (int e = 0; e < num_edges; ++e)
-      edge_sent.push_back(&obs::MetricsRegistry::instance().counter(
-          cat("runtime.edge_sent.e", e)));
+      edge_sent.push_back(&reg.counter(cat("runtime.edge_sent.e", e)));
   }
 };
 
@@ -345,11 +348,17 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   const int dim = hooks.dim();
   const int num_edges = hooks.num_edges();
 
-  obs::Tracer::set_identity(rank, 0);
-  detail::DriverMetrics metrics(num_edges);
+  obs::Session* const session = opt.session;
+  const bool profiling = session && session->profiling();
+  obs::ThreadBinding rank_binding(session, rank, 0);
+  // Without a Session the counters still run, into a registry no one reads.
+  std::optional<obs::MetricsRegistry> scratch_metrics;
+  detail::DriverMetrics metrics(
+      session ? session->metrics() : scratch_metrics.emplace(), num_edges);
 
   RunStats stats;
-  ShardedTileTable<S> table(opt.order, opt.queue_shards);
+  ShardedTileTable<S> table(opt.order, opt.queue_shards,
+                            &metrics.ready_depth);
   // Producers can only re-execute (and re-send credited edges) after a
   // resume or restart; the per-edge executed() screens below are skipped
   // entirely on a clean first attempt.  Fixed for the whole attempt: the
@@ -449,7 +458,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
     s.active_workers = busy_workers.load(std::memory_order_relaxed);
     s.workers = opt.threads;
     s.mailbox_depth = static_cast<long long>(comm.mailbox_depth());
-    if (opt.profile) {
+    if (profiling) {
       const auto prof = obs::Profiler::instance().rank_totals(rank);
       s.prof_cycles = static_cast<long long>(prof.cycles);
       s.prof_instructions = static_cast<long long>(prof.instructions);
@@ -466,10 +475,11 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   auto expected_deps = [&](const IntVec& t) { return hooks.dep_count(t); };
 
   auto worker = [&](int worker_id) {
-    obs::Tracer::set_identity(rank, worker_id);
+    obs::ThreadBinding binding(session, rank, worker_id);
     // Profiled runs: arm this worker's sampling timer + counter group for
     // the duration of the run (no-op when the profiler is inactive).
-    obs::ProfileThreadScope prof_scope(opt.profile, rank, worker_id);
+    obs::ProfileThreadScope prof_scope(profiling, rank, worker_id);
+    const bool msg_traced = obs::msg_tracing();
     const int preferred_shard = worker_id % table.shards();
     RunStats local;
     // Zeroed here, once per worker; step 2 explains why tiles can share it.
@@ -493,6 +503,22 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
     // Idle spans are recorded retrospectively (no ScopedSpan wraps the
     // stretch), so the profiler's phase frame is maintained by hand.
     bool idle_frame = false;
+    // Ends the idle stretch: its time, its span and its profiler frame.
+    auto close_idle = [&]() {
+      obs::profile_frame_pop(idle_frame);
+      idle_frame = false;
+      idling = false;
+      const double idle =
+          std::chrono::duration<double>(Clock::now() - idle_since).count();
+      local.idle_seconds += idle;
+      metrics.idle_ns.add(static_cast<std::int64_t>(idle * 1e9));
+      if (obs::tracing()) {
+        const std::int64_t end_ns = obs::now_ns();
+        obs::record_span(obs::Phase::kIdle,
+                         end_ns - static_cast<std::int64_t>(idle * 1e9),
+                         end_ns);
+      }
+    };
 
     auto poll = [&]() -> bool {
       std::unique_lock<std::mutex> lock(poll_mu, std::try_to_lock);
@@ -517,7 +543,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
           // admitted after that read (while the sweep was still draining)
           // is delivered no earlier than its admission, so the stamp is
           // clamped to admit_ns to keep the lifecycle monotone.
-          if (batch_deliver_ns == 0) batch_deliver_ns = obs::MsgTracer::now_ns();
+          if (batch_deliver_ns == 0) batch_deliver_ns = obs::now_ns();
           ed.msg.deliver_ns = std::max(batch_deliver_ns, msg->env.admit_ns);
           ed.msg.bytes = static_cast<std::int64_t>(msg->payload.size());
           ed.msg.src = static_cast<std::int16_t>(msg->source);
@@ -537,7 +563,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
             ed.msg.unpack_ns = ed.msg.deliver_ns;
             ed.msg.dispatch_ns = ed.msg.deliver_ns;
             ed.msg.dst_thread = static_cast<std::int16_t>(worker_id);
-            obs::MsgTracer::instance().record(ed.msg);
+            obs::record_msg(ed.msg);
           }
           payload_pool.release(std::move(ed.payload));
         } else {
@@ -649,20 +675,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         continue;
       }
       if (idling) {
-        const double idle =
-            std::chrono::duration<double>(Clock::now() - idle_since).count();
-        local.idle_seconds += idle;
-        metrics.idle_ns.add(static_cast<std::int64_t>(idle * 1e9));
-        obs::Tracer& tracer = obs::Tracer::instance();
-        if (tracer.enabled()) {
-          const std::int64_t end_ns = tracer.now_ns();
-          tracer.record(obs::Phase::kIdle,
-                        end_ns - static_cast<std::int64_t>(idle * 1e9),
-                        end_ns);
-        }
-        idling = false;
-        obs::profile_frame_pop(idle_frame);
-        idle_frame = false;
+        close_idle();
         backoff.reset();
       }
       busy_workers.fetch_add(1, std::memory_order_relaxed);
@@ -672,7 +685,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
       // counts are heavy-tailed; completion-credit is a step function whose
       // flats the straggler detector would mistake for slowness).  The
       // profiler's per-tile totals reuse the same count.
-      const Int tile_cells_now = (opt.monitor || opt.profile)
+      const Int tile_cells_now = (opt.monitor || profiling)
                                      ? hooks.tile_cells(ready->tile)
                                      : 0;
       if (opt.monitor)
@@ -706,7 +719,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
           hooks.unpack(e.edge, producer, e.payload.data(),
                        static_cast<Int>(e.payload.size()), buffer.data());
           if (e.msg.seq >= 0) {
-            if (unpack_ns == 0) unpack_ns = obs::MsgTracer::now_ns();
+            if (unpack_ns == 0) unpack_ns = obs::now_ns();
             e.msg.unpack_ns = unpack_ns;
           }
           payload_pool.release(std::move(e.payload));
@@ -716,37 +729,36 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
       // Dispatch stamp: the dependent tile is about to execute.  Each
       // remote edge's lifecycle record is complete here, so it goes into
       // the ring (one shared stamp — the edges unblock the same tile).
-      if (obs::MsgTracer::instance().enabled()) {
+      if (msg_traced) {
         // Most tiles are fed by local edges only; find a traced edge
-        // before touching the clock so purely-local tiles pay one relaxed
-        // load and a short scan, not a timestamp per pop.
+        // before touching the clock so purely-local tiles pay a short
+        // scan, not a timestamp per pop.
         std::int64_t dispatch_ns = 0;
         const auto nc = static_cast<std::uint8_t>(std::min<std::size_t>(
             ready->tile.size(), obs::kMaxSpanDims));
         for (auto& e : ready->edges) {
           if (e.msg.seq < 0) continue;
-          if (dispatch_ns == 0) dispatch_ns = obs::MsgTracer::now_ns();
+          if (dispatch_ns == 0) dispatch_ns = obs::now_ns();
           e.msg.dispatch_ns = dispatch_ns;
           e.msg.dst_thread = static_cast<std::int16_t>(worker_id);
           e.msg.ncoord = nc;
           for (std::uint8_t k = 0; k < nc; ++k)
             e.msg.consumer[k] = static_cast<std::int32_t>(ready->tile[k]);
-          obs::MsgTracer::instance().record(e.msg);
+          obs::record_msg(e.msg);
         }
       }
 
       // 3. execute
       {
         obs::ScopedSpan span(obs::Phase::kTileExecute, &ready->tile);
-        const bool prof_window =
-            opt.profile && obs::Profiler::tile_begin();
+        const bool prof_window = profiling && obs::Profiler::tile_begin();
         const auto t0 = Clock::now();
         hooks.execute_tile(ready->tile, buffer.data());
         const std::int64_t exec_ns =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 Clock::now() - t0)
                 .count();
-        if (opt.profile)
+        if (profiling)
           obs::Profiler::tile_end(prof_window,
                                   static_cast<long long>(tile_cells_now),
                                   exec_ns);
@@ -795,9 +807,8 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
           // Remote edge: pack straight into the wire buffer after the
           // reserved header, then move the buffer into the mailbox.
           obs::ScopedSpan span(obs::Phase::kSend, &consumer);
-          const bool msg_traced = obs::MsgTracer::instance().enabled();
           minimpi::MsgEnvelope env;
-          if (msg_traced) env.pack_ns = obs::MsgTracer::now_ns();
+          if (msg_traced) env.pack_ns = obs::now_ns();
           std::vector<std::uint8_t> wire = wire_pool.acquire();
           S* out = detail::begin_edge_wire<S>(wire, dim,
                                               hooks.edge_capacity(e));
@@ -819,7 +830,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
             // loop — retries reuse the same envelope, so a blocked send
             // never burns extra numbers.
             env.seq = comm.next_seq(dst);
-            env.send_ns = obs::MsgTracer::now_ns();
+            env.send_ns = obs::now_ns();
             env.src_thread = static_cast<std::int16_t>(worker_id);
           }
           const minimpi::MsgEnvelope* envp = msg_traced ? &env : nullptr;
@@ -876,24 +887,11 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
       poll();
     }
 
-    if (idling) {
-      // Workers that drain early exit the loop mid-idle (the loop
-      // condition flips while they wait for peers to finish the last
-      // tiles), so the stretch must be closed here: this tail idle is
-      // exactly what the load-balance audit attributes imbalance to.
-      obs::profile_frame_pop(idle_frame);
-      idle_frame = false;
-      const double idle =
-          std::chrono::duration<double>(Clock::now() - idle_since).count();
-      local.idle_seconds += idle;
-      metrics.idle_ns.add(static_cast<std::int64_t>(idle * 1e9));
-      obs::Tracer& tracer = obs::Tracer::instance();
-      if (tracer.enabled()) {
-        const std::int64_t end_ns = tracer.now_ns();
-        tracer.record(obs::Phase::kIdle,
-                      end_ns - static_cast<std::int64_t>(idle * 1e9), end_ns);
-      }
-    }
+    // Workers that drain early exit the loop mid-idle (the loop condition
+    // flips while they wait for peers to finish the last tiles), so the
+    // stretch must be closed here: this tail idle is exactly what the
+    // load-balance audit attributes imbalance to.
+    if (idling) close_idle();
 
     local.pool_hits += payload_pool.hits();
     local.edge_allocs += payload_pool.misses();
@@ -974,7 +972,6 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   // leaves one complete (fully-executed, drained-table) snapshot per rank.
   if (opt.monitor) opt.monitor->publish(rank, monitor_snapshot());
 
-  obs::Tracer::set_identity(rank, 0);
   {
     obs::ScopedSpan span(obs::Phase::kBarrier);
     comm.barrier();
@@ -986,21 +983,19 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   stats.total_seconds =
       std::chrono::duration<double>(Clock::now() - t_start).count();
 
-#if DPGEN_TRACE
-  // Merge every rank's span buffer to rank 0 (collective, so every rank
-  // participates exactly when all do — the flag is process-wide here and
-  // would be mirrored across real MPI ranks by the launcher).
-  if (obs::Tracer::instance().enabled()) {
+  // Merge every rank's spans, then the message records each rank
+  // received, to rank 0.  Collective: every rank shares the Session, so
+  // all of them take each branch together or none does.
+  if (session && session->tracing()) {
     obs::ScopedSpan span(obs::Phase::kGather);
-    obs::gather_and_merge(comm);
+    session->spans().add_merged(
+        obs::gather_records(comm, session->spans().collect_rank(rank)));
   }
-  // Message records ride the same collective path (the enable flag is
-  // process-wide, so every rank takes this branch together or not at all).
-  if (obs::MsgTracer::instance().enabled()) {
+  if (session && session->msg_tracing()) {
     obs::ScopedSpan span(obs::Phase::kGather);
-    obs::gather_and_merge_msgs(comm);
+    session->msgs().add_merged(
+        obs::gather_records(comm, session->msgs().collect_rank(rank)));
   }
-#endif
   return stats;
 }
 

@@ -19,26 +19,6 @@ std::optional<std::string> flag_value(const std::string& arg,
   return arg.substr(prefix.size());
 }
 
-/// Restores the process-wide tracers and stops the run's profiler when a
-/// launch ends, so a run that throws does not leave them on for the next.
-class ObsRestore {
- public:
-  explicit ObsRestore(bool profiling) : profiling_(profiling) {}
-  ObsRestore(const ObsRestore&) = delete;
-  ObsRestore& operator=(const ObsRestore&) = delete;
-  ~ObsRestore() {
-    if (profiling_ && obs::Profiler::instance().active())
-      (void)obs::Profiler::instance().stop();
-    obs::Tracer::instance().set_enabled(trace_was_);
-    obs::MsgTracer::instance().set_enabled(msg_trace_was_);
-  }
-
- private:
-  bool profiling_;
-  bool trace_was_ = obs::Tracer::instance().enabled();
-  bool msg_trace_was_ = obs::MsgTracer::instance().enabled();
-};
-
 }  // namespace
 
 bool LaunchOptions::parse_flag(const std::string& arg) {
@@ -126,33 +106,24 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
   const bool tracing =
       !opt.trace_json_path.empty() || !opt.report_json_path.empty();
   const bool msg_tracing = !opt.msgtrace_json_path.empty();
-  const bool profiling = !opt.profile_path.empty();
   const bool fault_tolerant = opt.fault_tolerant || opt.fault_plan;
 
-  // Every document covers exactly this run: the registry and the tracers
-  // start from clean state.
-  if (!opt.metrics_json_path.empty()) obs::MetricsRegistry::instance().reset();
-  ObsRestore restore{profiling};
-  obs::Tracer& tracer = obs::Tracer::instance();
-  obs::MsgTracer& msg_tracer = obs::MsgTracer::instance();
-  if (tracing) {
-    tracer.clear();
-    tracer.set_enabled(true);
-  }
-  if (msg_tracing) {
-    msg_tracer.clear();
-    msg_tracer.set_enabled(true);
-  }
-  // Profiling is armed once for the whole run: restart attempts accumulate
-  // into one document (the cost model wants the total work).
-  if (profiling)
-    obs::Profiler::instance().start(
-        {.hz = opt.profile_hz,
-         .force_cputime = opt.profile_force_cputime,
-         .source = labels.source,
-         .problem = labels.profile_problem.empty() ? labels.problem
-                                                   : labels.profile_problem,
-         .params = labels.params});
+  // Every document covers exactly this run: its records and counters live
+  // in this Session, across every restart attempt.  Profiling is armed
+  // once for the whole run: restart attempts accumulate into one document
+  // (the cost model wants the total work).
+  std::optional<obs::ProfileOptions> profile;
+  if (!opt.profile_path.empty())
+    profile = obs::ProfileOptions{
+        .hz = opt.profile_hz,
+        .force_cputime = opt.profile_force_cputime,
+        .source = labels.source,
+        .problem = labels.profile_problem.empty() ? labels.problem
+                                                  : labels.profile_problem,
+        .params = labels.params};
+  obs::Session session(tracing, msg_tracing, std::move(profile));
+  // Setup phases on this thread record outside any rank.
+  obs::ThreadBinding setup_binding(&session, /*rank=*/-1, /*thread=*/0);
 
   // Fault-tolerant runs arm the table's post-ready duplicate guard: faulty
   // wires can duplicate and restarts re-send.
@@ -164,7 +135,7 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
       .stall_timeout_seconds = opt.stall_timeout_seconds,
       .recover_stall_seconds = fault_tolerant ? opt.recover_stall_seconds : 0,
       .replay_guard = fault_tolerant,
-      .profile = profiling};
+      .session = &session};
 
   LaunchResult out;
   int alive = opt.ranks;
@@ -172,7 +143,10 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
   std::optional<obs::Monitor> monitor;
   std::optional<minimpi::World> world;
   for (;;) {
-    attempt = plan(alive);
+    {
+      obs::ScopedSpan span(obs::Phase::kLoadBalance);
+      attempt = plan(alive);
+    }
     // Live telemetry against the plan's predicted shares; restart attempts
     // append to the same event log for one continuous history.
     monitor.reset();
@@ -197,8 +171,8 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
     }
     // A fresh World restarts the per-link sequence counters, so records of
     // an aborted attempt must not pollute the final conservation check.
-    if (msg_tracing) msg_tracer.clear();
-    world.emplace(alive, opt.mailbox_capacity, transport);
+    session.msgs().clear();
+    world.emplace(alive, opt.mailbox_capacity, transport, &session.metrics());
     ropt.order = attempt.order;
     ropt.monitor = monitor ? &*monitor : nullptr;
     try {
@@ -232,8 +206,8 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
     out.stragglers = monitor->stragglers();
     out.heartbeats = monitor->heartbeats();
   }
-  if (profiling) {
-    obs::ProfileDoc doc = obs::Profiler::instance().stop();
+  if (session.profiling()) {
+    obs::ProfileDoc doc = session.stop_profiler();
     doc.nranks = alive;
     if (!doc.families.empty())
       doc.families[0].predicted_cells = std::accumulate(
@@ -242,12 +216,12 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
     out.profile = std::move(doc);
   }
   // run_node gathered every rank's message records and spans to rank 0,
-  // i.e. into the shared in-process tracers.
+  // i.e. into this run's Session.
   std::vector<obs::MsgRecord> msgs;
   if (msg_tracing) {
-    msgs = msg_tracer.merged();
+    msgs = session.msgs().merged();
     out.msg_records = static_cast<long long>(msgs.size());
-    out.msg_records_dropped = msg_tracer.dropped();
+    out.msg_records_dropped = session.msgs().dropped();
     if (opt.msgtrace_json_path != "-") {
       long long table_duplicates = 0;
       for (const RunStats& s : out.rank_stats)
@@ -268,10 +242,12 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
   }
   if (tracing) {
     // Setup spans recorded outside the world ride along under rank -1.
-    std::vector<obs::Span> spans = tracer.merged();
-    for (const obs::Span& s : tracer.collect_rank(-1)) spans.push_back(s);
+    std::vector<obs::Span> spans = session.spans().merged();
+    for (const obs::Span& s : session.spans().collect_rank(-1))
+      spans.push_back(s);
+    const std::uint64_t spans_dropped = session.spans().dropped();
     if (!opt.trace_json_path.empty())
-      obs::write_chrome_trace(opt.trace_json_path, spans, tracer.dropped(),
+      obs::write_chrome_trace(opt.trace_json_path, spans, spans_dropped,
                               msgs);
     if (!opt.report_json_path.empty()) {
       out.report = obs::analyze({.spans = std::move(spans),
@@ -280,7 +256,7 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
                                  .predicted_work = attempt.predicted_work,
                                  .bytes_matrix = world->bytes_matrix(),
                                  .messages_matrix = world->messages_matrix(),
-                                 .spans_dropped = tracer.dropped(),
+                                 .spans_dropped = spans_dropped,
                                  .source = labels.source,
                                  .problem = labels.problem,
                                  .params = labels.params,
@@ -291,8 +267,7 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
     }
   }
   if (!opt.metrics_json_path.empty())
-    obs::write_metrics_json(opt.metrics_json_path,
-                            obs::MetricsRegistry::instance());
+    obs::write_metrics_json(opt.metrics_json_path, session.metrics());
   return out;
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 // The launcher: the pre-written half of every run (paper section V), shared
-// by the interpreted engine and every generated program.  launch<S> arms
-// the tracers and the profiler (restored on every exit path), runs each
-// attempt — plan, transport, monitor, World, run_node<S> per rank —
+// by the interpreted engine and every generated program.  launch<S> owns
+// the run's obs::Session (rings, metrics, profiler; released on every exit
+// path), runs each attempt — plan, transport, monitor, World, run_node<S>
+// per rank —
 // restarts fault-tolerant runs over the surviving ranks from the
 // checkpoint store, and writes the trace, report, msgtrace, profile and
 // metrics documents (docs/ARCHITECTURE.md).  Only run_node<S> is
@@ -41,8 +42,9 @@ struct LaunchOptions {
   /// When non-empty, the run is span-traced and the merged timeline is
   /// written here as Chrome trace-event JSON (docs/observability.md).
   std::string trace_json_path;
-  /// When non-empty, the obs::MetricsRegistry is reset at launch and dumped
-  /// here as JSON after the run, so the document covers this run only.
+  /// When non-empty, the run's obs::MetricsRegistry is dumped here as JSON
+  /// after the run; the registry is the run's own, so it covers this run
+  /// only.
   std::string metrics_json_path;
   /// When non-empty, the run is traced and the attributed performance
   /// report (obs/analysis.hpp) is written here and to LaunchResult::report.

@@ -95,15 +95,6 @@ struct TableState {
 };
 
 namespace detail {
-/// Process-wide ready-queue depth gauge.  Fed the rank-level aggregate
-/// depth (summed across a table's shards), so its instantaneous value is a
-/// real per-rank queue depth and its max a real per-rank peak.
-inline obs::Gauge& ready_depth_gauge() {
-  static obs::Gauge& g =
-      obs::MetricsRegistry::instance().gauge("runtime.ready_queue_depth");
-  return g;
-}
-
 /// Second hash round applied before probing.  Shard selection consumes the
 /// low bits of the tile hash (h % shards), so every tile landing in one
 /// shard shares them; scrambling keeps those keys from clustering into
@@ -122,6 +113,10 @@ inline std::size_t scramble_hash(std::size_t h) {
 /// depth rather than a per-shard (or summed-peaks) approximation.
 class ReadyDepthAgg {
  public:
+  /// `gauge` (the run's `runtime.ready_queue_depth`; null = none) is fed
+  /// the aggregate depth, so its max is a real per-rank peak.
+  explicit ReadyDepthAgg(obs::Gauge* gauge = nullptr) : gauge_(gauge) {}
+
   void add(long long delta) {
     long long cur = depth_.fetch_add(delta, std::memory_order_relaxed) + delta;
     if (delta > 0) {
@@ -131,12 +126,13 @@ class ReadyDepthAgg {
                                           std::memory_order_relaxed)) {
       }
     }
-    detail::ready_depth_gauge().set(cur);
+    if (gauge_) gauge_->set(cur);
   }
 
   long long peak() const { return peak_.load(std::memory_order_relaxed); }
 
  private:
+  obs::Gauge* gauge_;
   std::atomic<long long> depth_{0};
   std::atomic<long long> peak_{0};
 };
@@ -445,7 +441,10 @@ class TileTable {
 template <typename S>
 class ShardedTileTable {
  public:
-  ShardedTileTable(const TileOrder& order, int shards) {
+  /// `ready_depth` is the run's ready-queue gauge (null = none).
+  ShardedTileTable(const TileOrder& order, int shards,
+                   obs::Gauge* ready_depth = nullptr)
+      : depth_(ready_depth) {
     DPGEN_CHECK(shards >= 1, "need at least one queue shard");
     for (int i = 0; i < shards; ++i)
       shards_.push_back(std::make_unique<TileTable<S>>(order, &depth_));

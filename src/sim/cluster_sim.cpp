@@ -94,7 +94,7 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
       std::vector<std::uint64_t>(static_cast<std::size_t>(cfg.nodes), 0));
   long long global_edges = 0;
   // Per-link sequence counters for synthesized message records; simulated
-  // seconds map to trace nanoseconds (same scale as trace_timeline).
+  // seconds map to trace nanoseconds.
   std::map<std::pair<int, int>, std::int64_t> link_seq;
   auto sim_ns = [](double t) { return static_cast<std::int64_t>(t * 1e9); };
 
@@ -302,26 +302,6 @@ SimResult simulate(const tiling::TilingModel& model, const IntVec& params,
     publish_all(nodes, makespan);
     monitor->stop(makespan);
     result.stragglers = monitor->stragglers();
-  }
-
-  if (cfg.trace_timeline && obs::Tracer::instance().enabled()) {
-    // Replay the simulated schedule through the span API: one
-    // tile-execute span per TileSpan, simulated seconds mapped to trace
-    // nanoseconds, so real and simulated timelines share one viewer.
-    obs::Tracer& tracer = obs::Tracer::instance();
-    for (const TileSpan& ts : result.timeline) {
-      obs::Span s;
-      s.start_ns = static_cast<std::int64_t>(ts.start * 1e9);
-      s.end_ns = static_cast<std::int64_t>(ts.end * 1e9);
-      s.rank = static_cast<std::int16_t>(ts.node);
-      s.thread = static_cast<std::int16_t>(ts.core);
-      s.phase = obs::Phase::kTileExecute;
-      s.ncoord = static_cast<std::uint8_t>(
-          std::min<std::size_t>(ts.tile.size(), obs::kMaxSpanDims));
-      for (std::size_t k = 0; k < s.ncoord; ++k)
-        s.coord[k] = static_cast<std::int32_t>(ts.tile[k]);
-      tracer.record_raw(s);
-    }
   }
 
   result.makespan = makespan;

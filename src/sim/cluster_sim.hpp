@@ -40,11 +40,6 @@ struct ClusterConfig {
   tiling::BalanceMethod balance = tiling::BalanceMethod::kPerDimension;
   /// Record one TileSpan per executed tile (timeline analysis).
   bool record_timeline = false;
-  /// Also push the recorded timeline through obs::Tracer (simulated
-  /// seconds become trace nanoseconds, node -> rank, core -> thread), so
-  /// a simulated schedule exports to the same Perfetto timeline as a real
-  /// run.  Requires record_timeline and an enabled tracer.
-  bool trace_timeline = false;
   /// When non-empty, a timeline is recorded (record_timeline is implied)
   /// and the simulated schedule is pushed through the same performance
   /// analyzer as real runs (obs/analysis.hpp); the report JSON is written

@@ -14,7 +14,6 @@
 #include "engine/engine.hpp"
 #include "json_util.hpp"
 #include "obs/analysis.hpp"
-#include "obs/metrics.hpp"
 #include "sim/cluster_sim.hpp"
 #include "support/json_schema.hpp"
 #include "tiling/balance.hpp"
@@ -223,7 +222,6 @@ TEST(Analysis, ReportJsonParsesAndValidatesAgainstSchema) {
 // report hook enabled (EngineOptions::report_json_path implies tracing).
 TEST(Analysis, EngineRunReportInvariants) {
   if (!obs::kTraceCompiled) GTEST_SKIP() << "built with DPGEN_TRACE=0";
-  obs::MetricsRegistry::instance().reset();
 
   spec::ProblemSpec s;
   s.name("paths")
@@ -245,7 +243,10 @@ TEST(Analysis, EngineRunReportInvariants) {
   opt.ranks = 2;
   opt.threads = 2;
   std::string report_path = testing::TempDir() + "/dpgen_report.json";
+  std::string metrics_path =
+      testing::TempDir() + "/dpgen_report_metrics.json";
   opt.report_json_path = report_path;
+  opt.metrics_json_path = metrics_path;
 
   auto center = [](const engine::Cell& c) {
     double v = 0.0;
@@ -295,8 +296,12 @@ TEST(Analysis, EngineRunReportInvariants) {
               static_cast<double>(balancer.total_work()), 1e-9);
 
   // Comm matrix: row/column sums match the per-peer and global counters
-  // (the registry was reset above, so this run is the only contribution).
-  auto& reg = obs::MetricsRegistry::instance();
+  // of the run's own metrics document.
+  auto metrics = json::parse(read_file(metrics_path));
+  auto counter = [&](const std::string& name) {
+    return static_cast<std::uint64_t>(
+        metrics->at("counters").at(name).as_number());
+  };
   ASSERT_EQ(r.bytes_matrix.size(), 2u);
   ASSERT_EQ(r.messages_matrix.size(), 2u);
   std::uint64_t bytes = 0, messages = 0;
@@ -308,23 +313,17 @@ TEST(Analysis, EngineRunReportInvariants) {
       col_messages += r.messages_matrix[static_cast<std::size_t>(src)]
                                        [static_cast<std::size_t>(dst)];
     }
-    EXPECT_EQ(col_bytes,
-              static_cast<std::uint64_t>(
-                  reg.counter(cat("comm.bytes_sent.to", dst)).value()))
+    EXPECT_EQ(col_bytes, counter(cat("comm.bytes_sent.to", dst)))
         << "destination " << dst;
-    EXPECT_EQ(col_messages,
-              static_cast<std::uint64_t>(
-                  reg.counter(cat("comm.messages_sent.to", dst)).value()))
+    EXPECT_EQ(col_messages, counter(cat("comm.messages_sent.to", dst)))
         << "destination " << dst;
     bytes += col_bytes;
     messages += col_messages;
   }
   EXPECT_EQ(r.total_bytes, bytes);
   EXPECT_EQ(r.total_messages, messages);
-  EXPECT_EQ(bytes, static_cast<std::uint64_t>(
-                       reg.counter("comm.bytes_sent").value()));
-  EXPECT_EQ(messages, static_cast<std::uint64_t>(
-                          reg.counter("comm.messages_sent").value()));
+  EXPECT_EQ(bytes, counter("comm.bytes_sent"));
+  EXPECT_EQ(messages, counter("comm.messages_sent"));
   EXPECT_GT(messages, 0u) << "a 2-rank run must cross the rank boundary";
 
   // The written file round-trips and validates against the schema.
@@ -333,9 +332,7 @@ TEST(Analysis, EngineRunReportInvariants) {
   auto schema = json::parse(read_file(DPGEN_REPORT_SCHEMA));
   for (const auto& e : json::validate(*schema, *doc)) ADD_FAILURE() << e;
   std::remove(report_path.c_str());
-
-  // The report hook must leave tracing off.
-  EXPECT_FALSE(obs::Tracer::instance().enabled());
+  std::remove(metrics_path.c_str());
 }
 
 // The simulator's replayed timeline goes through the same analyzer.

@@ -128,15 +128,15 @@ TEST(GeneratedSource, ProbeDefaultsToOrigin) {
 
 TEST(GeneratedSource, MainDelegatesToLauncher) {
   // Run orchestration lives once, in runtime::launch: the emitted main
-  // parses flags and calls it, and touches none of the observability
-  // singletons or document writers itself.
+  // parses flags and calls it, and touches neither the run's observability
+  // state nor the document writers itself.
   problems::Problem p = problems::bandit2(8);
   tiling::TilingModel model(p.spec);
   std::string src = generate_program(model);
   EXPECT_NE(src.find("dpgen::runtime::launch<dp_scalar>("), std::string::npos);
   EXPECT_NE(src.find("dp_opt.parse_flag(argv[i])"), std::string::npos);
   for (const char* banned :
-       {"Tracer::instance()", "MsgTracer::instance()", "Profiler::instance()",
+       {"obs::Session", "ThreadBinding", "Profiler::instance()",
         "MonitorOptions", "write_report_json"})
     EXPECT_EQ(src.find(banned), std::string::npos) << banned;
 }

@@ -1,18 +1,20 @@
 // Tests for the launcher (runtime/launch.hpp) that every executor runs
 // through: the generated programs' flag parser (in process, no compiler),
-// option validation, and per-run process state — a throwing run must not
-// leave tracing on, and the metrics document covers only its own run.
+// option validation, and run scoping — a throwing run must not leave the
+// profiler armed, each document covers only its own run, and two runs at
+// once in one process keep separate documents.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "engine/engine.hpp"
-#include "obs/msgtrace.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "problems/problems.hpp"
@@ -104,13 +106,8 @@ TEST(Launch, RejectsNonPositiveCountsFromEngineCallers) {
   });
 }
 
-TEST(Launch, ThrowingRunRestoresProcessWideTracing) {
+TEST(Launch, ThrowingRunStopsTheProfiler) {
   SmallLcs lcs;
-  obs::Tracer& tracer = obs::Tracer::instance();
-  obs::MsgTracer& msg_tracer = obs::MsgTracer::instance();
-  const bool trace_before = tracer.enabled();
-  const bool msg_before = msg_tracer.enabled();
-
   engine::EngineOptions o;
   o.ranks = 2;
   o.threads = 2;
@@ -124,10 +121,16 @@ TEST(Launch, ThrowingRunRestoresProcessWideTracing) {
     lcs.problem.kernel(c);
   };
   EXPECT_ANY_THROW(engine::run(lcs.model, lcs.params, boom, o));
-
-  EXPECT_EQ(tracer.enabled(), trace_before);
-  EXPECT_EQ(msg_tracer.enabled(), msg_before);
   EXPECT_FALSE(obs::Profiler::instance().active());
+
+  // The next, untraced run in the same process is unaffected.
+  engine::EngineOptions plain;
+  plain.ranks = 2;
+  plain.threads = 2;
+  plain.probes = {lcs.problem.objective};
+  engine::EngineResult r =
+      engine::run(lcs.model, lcs.params, lcs.problem.kernel, plain);
+  EXPECT_EQ(r.at(lcs.problem.objective), lcs.problem.reference(lcs.params));
 }
 
 std::string read_text(const std::string& path) {
@@ -143,21 +146,135 @@ TEST(Launch, MetricsDocumentCoversOnlyItsOwnRun) {
   SmallLcs lcs;
   engine::EngineOptions o;
   o.ranks = 2;
+  o.threads = 2;
   o.metrics_json_path = path;
+  auto read_doc = [&] { return json::parse(read_text(path)); };
   (void)engine::run(lcs.model, lcs.params, lcs.problem.kernel, o);
 
   // A larger second run: its document must count its own tiles only.
-  problems::Problem bigger = problems::lcs(lcs.seqs, 2);
+  problems::Problem bigger = problems::lcs(lcs.seqs, 1);
   tiling::TilingModel model(bigger.spec);
   engine::EngineResult second =
       engine::run(model, lcs.params, bigger.kernel, o);
   const long long tiles = second.total(&RunStats::tiles_executed);
   ASSERT_EQ(tiles, model.total_tiles(lcs.params));
+  EXPECT_EQ(
+      read_doc()->at("counters").at("runtime.tiles_executed").as_number(),
+      static_cast<double>(tiles));
 
-  json::ValuePtr doc = json::parse(read_text(path));
-  EXPECT_EQ(doc->at("counters").at("runtime.tiles_executed").as_number(),
-            static_cast<double>(tiles));
+  // A small run after the large one: exact counters, and a ready-queue
+  // high-water mark that is its own, not the large run's deeper queue.
+  engine::EngineResult small =
+      engine::run(lcs.model, lcs.params, lcs.problem.kernel, o);
+  json::ValuePtr doc = read_doc();
+  auto counter = [&](const char* name) {
+    return static_cast<long long>(doc->at("counters").at(name).as_number());
+  };
+  EXPECT_EQ(counter("runtime.tiles_executed"),
+            lcs.model.total_tiles(lcs.params));
+  EXPECT_EQ(counter("runtime.local_edges"),
+            small.total(&RunStats::local_edges));
+  EXPECT_EQ(counter("runtime.remote_edges"),
+            small.total(&RunStats::remote_edges));
+  long long messages = 0, peak_ready = 0;
+  for (const RunStats& s : small.rank_stats) {
+    messages += static_cast<long long>(s.messages_sent);
+    peak_ready = std::max(peak_ready, s.table.peak_ready_tiles);
+  }
+  EXPECT_EQ(counter("comm.messages_sent"), messages);
+  EXPECT_LE(doc->at("gauges").at("runtime.ready_queue_depth").at("max")
+                .as_number(),
+            static_cast<double>(peak_ready));
   std::remove(path.c_str());
+}
+
+/// One traced engine LCS run writing every document to its own paths.
+struct DocumentedRun {
+  std::vector<std::string> seqs;
+  problems::Problem problem;
+  tiling::TilingModel model;
+  IntVec params;
+  engine::EngineOptions opt;
+  engine::EngineResult result;
+
+  DocumentedRun(std::size_t length, unsigned seed, const std::string& tag)
+      : seqs{problems::random_dna(length, seed),
+             problems::random_dna(length, seed + 1)},
+        problem(problems::lcs(seqs, 8)),
+        model(problem.spec),
+        params(problems::sequence_params(seqs)) {
+    const std::string base = testing::TempDir() + "/dpgen_concurrent_" + tag;
+    opt.ranks = 2;
+    opt.threads = 2;
+    opt.probes = {problem.objective};
+    opt.trace_json_path = base + ".trace.json";
+    opt.report_json_path = base + ".report.json";
+    opt.msgtrace_json_path = base + ".msgtrace.json";
+    opt.metrics_json_path = base + ".metrics.json";
+  }
+
+  void run() { result = engine::run(model, params, problem.kernel, opt); }
+
+  /// Checks every document against this run's own totals.
+  void check() const {
+    SCOPED_TRACE(opt.trace_json_path);
+    const long long total_tiles = model.total_tiles(params);
+    EXPECT_EQ(result.at(problem.objective), problem.reference(params));
+    EXPECT_EQ(result.total(&RunStats::tiles_executed), total_tiles);
+
+    long long tile_events = 0;
+    json::ValuePtr trace = json::parse(read_text(opt.trace_json_path));
+    for (const auto& ev : trace->at("traceEvents").as_array())
+      if (ev->at("ph").as_string() == "X" &&
+          ev->at("cat").as_string() == "tile_execute")
+        ++tile_events;
+    EXPECT_EQ(tile_events, total_tiles);
+
+    long long report_tiles = 0;
+    json::ValuePtr report = json::parse(read_text(opt.report_json_path));
+    for (const auto& rank : report->at("load_balance").at("ranks").as_array())
+      report_tiles += static_cast<long long>(rank->at("tiles").as_number());
+    EXPECT_EQ(report_tiles, total_tiles);
+
+    json::ValuePtr metrics = json::parse(read_text(opt.metrics_json_path));
+    EXPECT_EQ(metrics->at("counters").at("runtime.tiles_executed").as_number(),
+              static_cast<double>(total_tiles));
+
+    // Every remote edge is one traced message, and each is delivered once.
+    const long long remote = result.total(&RunStats::remote_edges);
+    EXPECT_GT(remote, 0) << "a 2-rank run must cross the rank boundary";
+    json::ValuePtr mt = json::parse(read_text(opt.msgtrace_json_path));
+    EXPECT_EQ(mt->at("messages").as_number(), static_cast<double>(remote));
+    const json::Value& cons = mt->at("conservation");
+    EXPECT_EQ(cons.at("total_sent").as_number(), static_cast<double>(remote));
+    EXPECT_EQ(cons.at("total_delivered").as_number(),
+              static_cast<double>(remote));
+    EXPECT_EQ(cons.at("total_gaps").as_number(), 0.0);
+    EXPECT_EQ(cons.at("total_repeats").as_number(), 0.0);
+    EXPECT_TRUE(cons.at("accounted").boolean);
+  }
+
+  void remove_documents() const {
+    for (const std::string* p :
+         {&opt.trace_json_path, &opt.report_json_path,
+          &opt.msgtrace_json_path, &opt.metrics_json_path})
+      std::remove(p->c_str());
+  }
+};
+
+TEST(LaunchConcurrency, TwoRunsKeepSeparateDocuments) {
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "built with DPGEN_TRACE=0";
+  DocumentedRun a(48, 11, "a");
+  DocumentedRun b(80, 23, "b");
+  ASSERT_NE(a.model.total_tiles(a.params), b.model.total_tiles(b.params));
+  std::thread ta([&] { a.run(); });
+  std::thread tb([&] { b.run(); });
+  ta.join();
+  tb.join();
+  a.check();
+  b.check();
+  a.remove_documents();
+  b.remove_documents();
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "obs/analysis.hpp"
 #include "obs/export.hpp"
 #include "obs/msgtrace.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "problems/problems.hpp"
 #include "sim/cluster_sim.hpp"
@@ -76,23 +77,24 @@ long long inum(const json::Value& v, const char* key) {
 
 TEST(MsgTrace, RingOverflowCountsEveryDroppedRecord) {
   if (!obs::kTraceCompiled) GTEST_SKIP() << "built with DPGEN_TRACE=0";
-  obs::MsgTracer& t = obs::MsgTracer::instance();
-  t.clear();
-  t.set_enabled(true);
+  obs::Session session(/*trace=*/false, /*msgtrace=*/true);
+  obs::RingSet<obs::MsgRecord>& t = session.msgs();
   const std::uint64_t extra = 123;
-  const std::uint64_t total = obs::MsgTracer::kRingCapacity + extra;
-  for (std::uint64_t i = 0; i < total; ++i) {
-    obs::MsgRecord r;
-    r.seq = static_cast<std::int64_t>(i);
-    r.src = 1;
-    r.dst = 0;
-    r.pack_ns = static_cast<std::int64_t>(i + 1);
-    r.dispatch_ns = static_cast<std::int64_t>(i + 2);
-    t.record(r);
+  const std::uint64_t total = obs::Session::kMsgRingCapacity + extra;
+  {
+    obs::ThreadBinding binding(&session, /*rank=*/0, /*thread=*/0);
+    for (std::uint64_t i = 0; i < total; ++i) {
+      obs::MsgRecord r;
+      r.seq = static_cast<std::int64_t>(i);
+      r.src = 1;
+      r.dst = 0;
+      r.pack_ns = static_cast<std::int64_t>(i + 1);
+      r.dispatch_ns = static_cast<std::int64_t>(i + 2);
+      obs::record_msg(r);
+    }
   }
-  t.set_enabled(false);
-  const std::vector<obs::MsgRecord> kept = t.collect_all();
-  EXPECT_EQ(kept.size(), obs::MsgTracer::kRingCapacity);
+  const std::vector<obs::MsgRecord> kept = t.collect_rank(0);
+  EXPECT_EQ(kept.size(), obs::Session::kMsgRingCapacity);
   EXPECT_EQ(t.dropped(), extra);
   // The ring keeps the newest records: the smallest surviving seq is
   // exactly the drop count.
@@ -100,7 +102,7 @@ TEST(MsgTrace, RingOverflowCountsEveryDroppedRecord) {
   for (const obs::MsgRecord& r : kept) min_seq = std::min(min_seq, r.seq);
   EXPECT_EQ(min_seq, static_cast<std::int64_t>(extra));
   t.clear();
-  EXPECT_TRUE(t.collect_all().empty());
+  EXPECT_TRUE(t.collect_rank(0).empty());
   EXPECT_EQ(t.dropped(), 0u);
 }
 

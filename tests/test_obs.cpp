@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "obs/export.hpp"
 #include "obs/gather.hpp"
 #include "obs/metrics.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "tiling/balance.hpp"
 
@@ -37,8 +39,6 @@ TEST(Metrics, CounterGaugeHistogramBasics) {
   c.add(5);
   c.increment();
   EXPECT_EQ(c.value(), 6);
-  c.reset();
-  EXPECT_EQ(c.value(), 0);
 
   obs::Gauge g;
   g.set(7);
@@ -62,7 +62,7 @@ TEST(Metrics, CounterGaugeHistogramBasics) {
 }
 
 TEST(Metrics, RegistryJsonParsesAndKeepsHandles) {
-  auto& reg = obs::MetricsRegistry::instance();
+  obs::MetricsRegistry reg;
   obs::Counter& c = reg.counter("test_obs.events");
   obs::Counter& c2 = reg.counter("test_obs.events");
   EXPECT_EQ(&c, &c2);  // same name, same instrument
@@ -77,9 +77,6 @@ TEST(Metrics, RegistryJsonParsesAndKeepsHandles) {
   const auto& hist = doc->at("histograms").at("test_obs.sizes");
   EXPECT_EQ(hist.at("count").as_number(), 1);
   EXPECT_EQ(hist.at("sum").as_number(), 100);
-
-  reg.reset();
-  EXPECT_EQ(c.value(), 0);  // reset zeroes but the reference stays valid
 }
 
 TEST(Metrics, HistogramQuantilesInterpolateLog2Buckets) {
@@ -110,9 +107,8 @@ TEST(Metrics, HistogramQuantilesInterpolateLog2Buckets) {
 }
 
 TEST(Metrics, QuantilesAppearInTextAndJson) {
-  auto& reg = obs::MetricsRegistry::instance();
+  obs::MetricsRegistry reg;
   obs::Histogram& h = reg.histogram("test_obs.quantiles");
-  h.reset();
   for (int i = 1; i <= 100; ++i) h.observe(i);
 
   auto doc = json::parse(reg.to_json());
@@ -130,28 +126,6 @@ TEST(Metrics, QuantilesAppearInTextAndJson) {
   EXPECT_NE(text.find("test_obs.quantiles.p99"), std::string::npos);
 }
 
-// Regression: Gauge::reset() (and MetricsRegistry::reset(), which calls
-// it) must clear the high-water mark too, not just the level — otherwise
-// a peak from a previous run leaks into the next run's report.
-TEST(Metrics, ResetClearsGaugeHighWaterMark) {
-  obs::Gauge g;
-  g.set(7);
-  g.set(3);
-  ASSERT_EQ(g.max(), 7);
-  g.reset();
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(g.max(), 0);
-  g.set(2);
-  EXPECT_EQ(g.max(), 2) << "stale high-water mark survived reset()";
-
-  auto& reg = obs::MetricsRegistry::instance();
-  obs::Gauge& rg = reg.gauge("test_obs.reset_gauge");
-  rg.set(99);
-  rg.set(1);
-  reg.reset();
-  EXPECT_EQ(rg.max(), 0);
-}
-
 TEST(Export, ChromeTraceCarriesDroppedSpanCount) {
   std::vector<obs::Span> spans(1);
   spans[0].start_ns = 0;
@@ -166,27 +140,24 @@ TEST(Export, ChromeTraceCarriesDroppedSpanCount) {
 
 TEST(Tracer, RecordsPerThreadAndCollectsByRank) {
   if (!obs::kTraceCompiled) GTEST_SKIP() << "built with DPGEN_TRACE=0";
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.clear();
-  tracer.set_enabled(true);
+  obs::Session session(/*trace=*/true, /*msgtrace=*/false);
 
   constexpr int kThreads = 4;
   constexpr int kSpansEach = 100;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &tracer] {
-      obs::Tracer::set_identity(/*rank=*/7, /*thread=*/t);
+    threads.emplace_back([t, &session] {
+      obs::ThreadBinding binding(&session, /*rank=*/7, /*thread=*/t);
       for (int i = 0; i < kSpansEach; ++i) {
         IntVec tile{t, i};
-        std::int64_t now = tracer.now_ns();
-        tracer.record(obs::Phase::kTileExecute, now, now + 10, &tile);
+        std::int64_t now = obs::now_ns();
+        obs::record_span(obs::Phase::kTileExecute, now, now + 10, &tile);
       }
     });
   }
   for (auto& th : threads) th.join();
-  tracer.set_enabled(false);
 
-  auto spans = tracer.collect_rank(7);
+  auto spans = session.spans().collect_rank(7);
   ASSERT_EQ(spans.size(), kThreads * kSpansEach);
   std::set<int> seen_threads;
   for (const auto& s : spans) {
@@ -196,18 +167,39 @@ TEST(Tracer, RecordsPerThreadAndCollectsByRank) {
     seen_threads.insert(s.thread);
   }
   EXPECT_EQ(seen_threads.size(), kThreads);
-  EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_TRUE(tracer.collect_rank(12345).empty());
-  tracer.clear();
-  EXPECT_TRUE(tracer.collect_rank(7).empty());
+  EXPECT_EQ(session.spans().dropped(), 0u);
+  EXPECT_TRUE(session.spans().collect_rank(12345).empty());
+  session.spans().clear();
+  EXPECT_TRUE(session.spans().collect_rank(7).empty());
 }
 
+// Recording is off on a thread bound to a non-tracing Session, on an
+// unbound thread, and again once a binding to a tracing Session ends.
 TEST(Tracer, DisabledRecordingIsANoOp) {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.clear();
-  tracer.set_enabled(false);
-  tracer.record(obs::Phase::kIdle, 0, 1);
-  EXPECT_TRUE(tracer.collect_all().empty());
+  obs::Session traced(/*trace=*/true, /*msgtrace=*/false);
+  obs::Session untraced(/*trace=*/false, /*msgtrace=*/false);
+  {
+    obs::ThreadBinding binding(&untraced, /*rank=*/0, /*thread=*/0);
+    EXPECT_FALSE(obs::tracing());
+    obs::ScopedSpan span(obs::Phase::kIdle);
+  }
+  {
+    obs::ThreadBinding binding(&traced, /*rank=*/0, /*thread=*/0);
+    EXPECT_EQ(obs::tracing(), obs::kTraceCompiled);
+    {
+      obs::ThreadBinding nested(nullptr, /*rank=*/0, /*thread=*/0);
+      obs::ScopedSpan span(obs::Phase::kIdle);
+    }
+    obs::ScopedSpan span(obs::Phase::kPoll);
+  }
+  EXPECT_FALSE(obs::tracing());
+  obs::record_span(obs::Phase::kIdle, 0, 1);
+  EXPECT_TRUE(untraced.spans().collect_rank(0).empty());
+  const auto spans = traced.spans().collect_rank(0);
+  ASSERT_EQ(spans.size(), obs::kTraceCompiled ? 1u : 0u);
+  if (!spans.empty()) {
+    EXPECT_EQ(spans[0].phase, obs::Phase::kPoll);
+  }
 }
 
 TEST(Tracer, SpanSerializationRoundTrips) {
@@ -222,14 +214,35 @@ TEST(Tracer, SpanSerializationRoundTrips) {
   spans[0].coord[1] = -3;
   spans[2].phase = obs::Phase::kBarrier;
 
-  auto bytes = obs::serialize_spans(spans);
+  auto bytes = obs::serialize_records(spans);
   bytes.resize(bytes.size() + 37);  // gather pads buffers; must tolerate
-  auto back = obs::deserialize_spans(bytes.data(), bytes.size());
+  auto back = obs::deserialize_records<obs::Span>(bytes.data(), bytes.size());
   ASSERT_EQ(back.size(), spans.size());
   EXPECT_EQ(back[0].start_ns, 10);
   EXPECT_EQ(back[0].coord[1], -3);
   EXPECT_EQ(back[0].phase, obs::Phase::kPack);
   EXPECT_EQ(back[2].phase, obs::Phase::kBarrier);
+
+  // Hostile counts are rejected with a dpgen::Error, never sized from: a
+  // count whose byte length wraps to a small number must not pass the
+  // length check.
+  auto hostile = [](std::uint64_t count) {
+    std::vector<std::uint8_t> buf(40, 0);
+    std::memcpy(buf.data(), &count, sizeof(count));
+    return buf;
+  };
+  const auto span_wrap = hostile(UINT64_MAX / sizeof(obs::Span) + 1);
+  EXPECT_THROW(obs::deserialize_records<obs::Span>(span_wrap.data(),
+                                                   span_wrap.size()),
+               Error);
+  const auto msg_wrap = hostile(UINT64_MAX / sizeof(obs::MsgRecord) + 1);
+  EXPECT_THROW(obs::deserialize_records<obs::MsgRecord>(msg_wrap.data(),
+                                                        msg_wrap.size()),
+               Error);
+  const auto one_too_many = hostile(1);
+  EXPECT_THROW(obs::deserialize_records<obs::Span>(one_too_many.data(),
+                                                   one_too_many.size()),
+               Error);
 }
 
 TEST(Export, ChromeTraceShape) {
@@ -358,43 +371,12 @@ TEST(ObsEndToEnd, MultiRankTraceAndConservation) {
 
   // The metrics dump parses and covers the runtime counters.
   auto metrics = json::parse(read_file(metrics_path));
-  EXPECT_GE(metrics->at("counters").at("runtime.tiles_executed").as_number(),
+  EXPECT_EQ(metrics->at("counters").at("runtime.tiles_executed").as_number(),
             static_cast<double>(model.total_tiles(params)));
   EXPECT_TRUE(metrics->at("histograms").has("runtime.tile_latency_ns"));
 
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
-
-  // Tracing must be switched back off after the traced run.
-  EXPECT_FALSE(obs::Tracer::instance().enabled());
-}
-
-// A second run without tracing must not grow the merged span set.
-TEST(ObsEndToEnd, UntracedRunRecordsNothing) {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.clear();
-
-  spec::ProblemSpec s;
-  s.name("countdown")
-      .params({"N"})
-      .vars({"x"})
-      .constraint("x >= 0")
-      .constraint("x <= N")
-      .dep("r1", {1})
-      .load_balance({"x"})
-      .tile_widths({4})
-      .center_code("V[loc] = 0.0;");
-  tiling::TilingModel model(s);
-  auto center = [](const engine::Cell& c) {
-    c.V[c.loc] = c.valid[0] ? c.V[c.loc_dep[0]] + 1.0 : 1.0;
-  };
-  engine::EngineOptions opt;
-  opt.ranks = 2;
-  auto result = engine::run(model, {31}, center, opt);
-  EXPECT_EQ(result.total(&runtime::RunStats::tiles_executed),
-            model.total_tiles({31}));
-  EXPECT_TRUE(tracer.collect_all().empty());
-  EXPECT_TRUE(tracer.merged().empty());
 }
 
 }  // namespace

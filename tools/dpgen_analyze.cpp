@@ -571,7 +571,7 @@ int run_profile(const Options& opt) {
 
   int violations = 0;
   if (opt.report_path_set) {
-    // Cross-check: the profiler's sample shares against the tracer's span
+    // Cross-check: the profiler's sample shares against the spans'
     // attribution.  The two measure the same run through independent
     // channels (statistical samples vs exact span brackets), so a major
     // phase (>= 10% of report time) drifting more than 15 percentage
