@@ -8,8 +8,9 @@
 //
 // The measured quantity is compute-attributed seconds — the sum of
 // load_balance.ranks[].measured_compute_s from the dpgen.report.v1 document
-// — not wall clock: runtime setup and pack/unpack are identical across
-// variants and would dilute the center-loop effect the passes target.  A
+// — not wall clock: runtime setup is identical across variants, and
+// pack/unpack differ only by the full-tile constant-bound scan
+// (docs/codegen.md), so both would dilute the center-loop effect.  A
 // trial asserts spans_dropped == 0 so the attribution is complete (the
 // workloads are sized under the span ring capacity).
 //

@@ -183,7 +183,7 @@ echo "chaos smoke passed"
 echo "==== vectorization smoke (codegen pass pipeline)"
 # The canonicalize pass exists to make the innermost loop vectorizable at
 # the baseline ISA: the interior segment's guarded loads fold to
-# unconditional ones, and GCC must report the loop on the emitted
+# unconditional ones, and GCC must report every loop on an emitted
 # "dpgen:vec-inner" marker line vectorized at plain -O3 (no -march=native —
 # wide ISAs mask-vectorize even the unsplit loop, which would hide a
 # canonicalization regression).  Clang has no -fopt-info; probe the flag
@@ -222,19 +222,22 @@ build/examples/generate_program --passes=canonicalize \
   build/vec-smoke/trellis.spec build/vec-smoke/trellis.cpp > /dev/null
 if echo 'int main(){}' | "$CXX_BIN" -x c++ - -fopt-info-vec \
     -o build/vec-smoke/probe 2> /dev/null; then
-  vec_line="$(grep -n 'dpgen:vec-inner' build/vec-smoke/trellis.cpp \
-    | head -1 | cut -d: -f1)"
-  [[ -n "$vec_line" ]]
+  # Every marker: the partial-tile interior and the full-tile nest.
+  vec_lines="$(grep -n 'dpgen:vec-inner' build/vec-smoke/trellis.cpp \
+    | cut -d: -f1 | tr '\n' ' ')"
+  [[ -n "$vec_lines" ]]
   "$CXX_BIN" -std=c++20 -O3 -fopenmp -DDPGEN_RUNTIME_USE_OPENMP -Isrc \
     -fopt-info-vec -c build/vec-smoke/trellis.cpp \
     -o build/vec-smoke/trellis.o 2> build/vec-smoke/vec.log
-  grep -q ":${vec_line}:.*loop vectorized" build/vec-smoke/vec.log || {
-    echo "ERROR: canonicalized interior loop (line ${vec_line}) did not" \
-         "vectorize at -O3; -fopt-info-vec output:" >&2
-    cat build/vec-smoke/vec.log >&2
-    exit 1
-  }
-  echo "vectorization smoke passed (interior loop at line ${vec_line})"
+  for vec_line in $vec_lines; do
+    grep -q ":${vec_line}:.*loop vectorized" build/vec-smoke/vec.log || {
+      echo "ERROR: canonicalized interior loop (line ${vec_line}) did not" \
+           "vectorize at -O3; -fopt-info-vec output:" >&2
+      cat build/vec-smoke/vec.log >&2
+      exit 1
+    }
+  done
+  echo "vectorization smoke passed (interior loops at lines ${vec_lines% })"
 else
   echo "vectorization smoke skipped (compiler lacks -fopt-info-vec)"
 fi

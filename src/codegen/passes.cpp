@@ -314,13 +314,16 @@ void emit_center_plain(Writer& w, const tiling::TilingModel& model,
   });
 }
 
-void emit_center_optimized(Writer& w, const tiling::TilingModel& model,
-                           const LayoutPlan& plan, const PassPipeline& passes,
-                           const std::vector<std::string>& ext_names) {
-  DPGEN_CHECK(passes.loop_passes(),
-              "emit_center_optimized requires canonicalize or unroll");
+namespace {
+
+/// The canonicalized (or unroll-only) center loop over `nest`.  `full`
+/// marks the full-tile nest: the whole innermost range is interior and
+/// every validity check is the constant `true`.
+void emit_center_nest(Writer& w, const tiling::TilingModel& model,
+                      const LayoutPlan& plan, const PassPipeline& passes,
+                      const std::vector<std::string>& ext_names,
+                      const poly::LoopNest& nest, bool full) {
   CenterLoopIR ir = CenterLoopIR::lift(model);
-  const poly::LoopNest& nest = model.local_nest();
   const int d = model.dim();
   const int last = nest.levels() - 1;
   const int unroll = passes.unroll ? passes.unroll_factor : 1;
@@ -365,9 +368,9 @@ void emit_center_optimized(Writer& w, const tiling::TilingModel& model,
     // split (an equality selects isolated points, not a subrange).
     const std::vector<tiling::ValidityCheck>& checks =
         model.validity_checks();
-    std::vector<bool> force(checks.size(), false);
+    std::vector<bool> force(checks.size(), full);
     std::vector<std::string> lo_thr, hi_thr;
-    for (std::size_t i = 0; i < checks.size(); ++i) {
+    for (std::size_t i = 0; i < checks.size() && !full; ++i) {
       const tiling::ValidityCheck& c = checks[i];
       if (c.rel != poly::Rel::Ge || c.inner_coef == 0) continue;
       force[i] = true;
@@ -423,6 +426,42 @@ void emit_center_optimized(Writer& w, const tiling::TilingModel& model,
     }
   };
   emit_outer_levels(w, nest, ext_names, 0, inner);
+}
+
+}  // namespace
+
+poly::LoopNest local_box_nest(const tiling::TilingModel& model,
+                              const IntVec& lo, const IntVec& hi,
+                              const std::vector<int>& dirs) {
+  poly::System box(model.ext_vars());
+  model.add_local_box(box, lo, hi);
+  std::vector<int> order;
+  for (int k = 0; k < model.dim(); ++k) order.push_back(model.ext_local(k));
+  return poly::LoopNest::build(box, order, dirs);
+}
+
+void emit_center_optimized(Writer& w, const tiling::TilingModel& model,
+                           const LayoutPlan& plan, const PassPipeline& passes,
+                           const std::vector<std::string>& ext_names) {
+  DPGEN_CHECK(passes.loop_passes(),
+              "emit_center_optimized requires canonicalize or unroll");
+  emit_center_nest(w, model, plan, passes, ext_names, model.local_nest(),
+                   false);
+}
+
+void emit_center_full(Writer& w, const tiling::TilingModel& model,
+                      const LayoutPlan& plan, const PassPipeline& passes,
+                      const std::vector<std::string>& ext_names) {
+  DPGEN_CHECK(passes.canonicalize, "emit_center_full requires canonicalize");
+  const poly::LoopNest& nest = model.local_nest();
+  IntVec hi = model.problem().widths();
+  for (Int& v : hi) v -= 1;
+  std::vector<int> dirs;
+  for (int level = 0; level < nest.levels(); ++level)
+    dirs.push_back(nest.dir(level));
+  emit_center_nest(w, model, plan, passes, ext_names,
+                   local_box_nest(model, IntVec(hi.size(), 0), hi, dirs),
+                   true);
 }
 
 }  // namespace dpgen::codegen

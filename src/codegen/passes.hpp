@@ -25,6 +25,17 @@
 //     loop body is straight-line code; when every dependency moves in some
 //     non-innermost dimension the interior also carries `#pragma GCC
 //     ivdep` (see ivdep_legal() for the proof obligation).
+//     The pass also separates full tiles from partial ones.  A tile is
+//     full when its whole local box 0 <= i_k <= w_k - 1 lies in the
+//     iteration space; TilingModel::full_tile_test() decides that from
+//     each constraint's minimum over the box, an affine form in
+//     (params, tile), emitted once as dp_tile_full(P, t).  On a full tile
+//     pack and unpack scan each edge slab [Edge::box_lo, box_hi] with
+//     constant bounds (same runs, same order, so payloads are unchanged),
+//     and when every check also holds on the box
+//     (TilingModel::checks_hold_test()) execute_tile runs one
+//     constant-bound nest with every check folded to `true`
+//     (emit_center_full).  Partial tiles take the split loop above.
 //  2. "unroll[:U]" — unrolls the innermost loop by U (default 4).  On a
 //     canonicalized (vector-eligible) interior loop this is `#pragma GCC
 //     unroll U`, so unrolling composes with vectorization instead of
@@ -44,7 +55,8 @@
 // (tests/test_codegen_passes.cpp, tests/test_codegen_fuzz.cpp) assert
 // byte-identical RESULT/MAX lines against the pass-free program and the
 // interpreter for every subset.  Generated programs additionally accept
-// `--passes=none|full` at run time to fall back to the plain loop (the
+// `--passes=none|full` at run time to fall back to the plain loop and the
+// unspecialised pack/unpack nests on every tile, full ones included (the
 // layout pass is baked into the geometry and cannot be toggled).
 
 #include <string>
@@ -159,5 +171,22 @@ void emit_center_optimized(Writer& w, const tiling::TilingModel& model,
                            const LayoutPlan& plan,
                            const PassPipeline& passes,
                            const std::vector<std::string>& ext_names);
+
+/// Emits the full-tile center nest (canonicalize only): the local box
+/// 0 <= i_k <= w_k - 1 with constant bounds, in the local nest's order and
+/// directions, every validity check folded to `true` and the whole
+/// innermost range one interior loop (carrying the vectorization marker).
+/// Correct only on tiles passing TilingModel::tile_full and
+/// tile_checks_hold.
+void emit_center_full(Writer& w, const tiling::TilingModel& model,
+                      const LayoutPlan& plan, const PassPipeline& passes,
+                      const std::vector<std::string>& ext_names);
+
+/// The nest scanning the local box lo_k <= i_k <= hi_k over the local
+/// variables in dimension order, with constant bounds and the given scan
+/// directions (empty: ascending).
+poly::LoopNest local_box_nest(const tiling::TilingModel& model,
+                              const IntVec& lo, const IntVec& hi,
+                              const std::vector<int>& dirs = {});
 
 }  // namespace dpgen::codegen

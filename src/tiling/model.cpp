@@ -44,12 +44,10 @@ TilingModel::TilingModel(spec::ProblemSpec problem) : spec_(std::move(problem)) 
     image.push_back(std::move(e));
   }
   extended_ = poly::transform(spec_.space(), ext_vars_, image);
-  for (int k = 0; k < d_; ++k) {
-    // 0 <= i_k <= w_k - 1
-    extended_.add_ge(poly::LinExpr::term(n_ext, ext_local(k)));
-    poly::LinExpr hi = -poly::LinExpr::term(n_ext, ext_local(k));
-    hi.c = w[static_cast<std::size_t>(k)] - 1;
-    extended_.add_ge(std::move(hi));
+  {
+    IntVec last = w;
+    for (Int& v : last) v -= 1;
+    add_local_box(extended_, IntVec(w.size(), 0), last);
   }
   extended_.simplify();
 
@@ -212,15 +210,7 @@ TilingModel::TilingModel(spec::ProblemSpec problem) : spec_(std::move(problem)) 
   // iteration space of the source tile").
   for (const auto& e : edges_) {
     poly::System s = extended_;
-    for (int k = 0; k < d_; ++k) {
-      auto ks = static_cast<std::size_t>(k);
-      poly::LinExpr lo = poly::LinExpr::term(n_ext, ext_local(k));
-      lo.c = -e.box_lo[ks];
-      s.add_ge(std::move(lo));  // i_k >= box_lo
-      poly::LinExpr hi = -poly::LinExpr::term(n_ext, ext_local(k));
-      hi.c = e.box_hi[ks];
-      s.add_ge(std::move(hi));  // i_k <= box_hi
-    }
+    add_local_box(s, e.box_lo, e.box_hi);
     std::vector<int> i_order;
     for (int k = 0; k < d_; ++k) i_order.push_back(ext_local(k));
     pack_nests_.push_back(poly::LoopNest::build(s, i_order));
@@ -289,6 +279,14 @@ TilingModel::TilingModel(spec::ProblemSpec problem) : spec_(std::move(problem)) 
       dep_checks_[j].push_back(static_cast<int>(it - checks_.begin()));
     }
   }
+
+  // ---- full-tile and whole-box check tests ---------------------------------------
+  full_test_ = poly::System(ext_vars_);
+  for (const auto& c : extended_.constraints()) full_test_.add(box_minimum(c));
+  full_test_.simplify();
+  checks_test_ = poly::System(ext_vars_);
+  for (const auto& v : checks_) checks_test_.add(box_minimum({v.ext, v.rel}));
+  checks_test_.simplify();
 
   // ---- initial-tile face systems (IV.K) ------------------------------------------
   {
@@ -509,6 +507,48 @@ void TilingModel::split_row(IntVec& pt, std::vector<Int>& base,
   }
   row.sa = std::min(sa, add_ck(row.hi, 1));
   row.sb = std::max(sub_ck(row.sa, 1), sb);
+}
+
+void TilingModel::add_local_box(poly::System& sys, const IntVec& lo,
+                                const IntVec& hi) const {
+  const int n = ext_vars_.size();
+  for (int k = 0; k < d_; ++k) {
+    auto ks = static_cast<std::size_t>(k);
+    poly::LinExpr above = poly::LinExpr::term(n, ext_local(k));
+    above.c = neg_ck(lo[ks]);
+    sys.add_ge(std::move(above));  // i_k >= lo_k
+    poly::LinExpr below = -poly::LinExpr::term(n, ext_local(k));
+    below.c = hi[ks];
+    sys.add_ge(std::move(below));  // i_k <= hi_k
+  }
+}
+
+poly::Constraint TilingModel::box_minimum(const poly::Constraint& c) const {
+  // a.i + rest over 0 <= i_k <= w_k - 1 is smallest at i_k = w_k - 1 where
+  // a_k < 0 and at i_k = 0 elsewhere; an integer vertex, so the test is
+  // exact.  An equality holds on the whole box only when no local term
+  // varies over it.
+  poly::Constraint out = c;
+  for (int k = 0; k < d_; ++k) {
+    const Int span = mul_ck(c.e.coef(ext_local(k)),
+                            spec_.widths()[static_cast<std::size_t>(k)] - 1);
+    out.e.set_coef(ext_local(k), 0);
+    if (c.rel == poly::Rel::Eq && span != 0)
+      return {poly::LinExpr(ext_vars_.size(), -1), poly::Rel::Ge};
+    out.e.c = add_ck(out.e.c, std::min<Int>(0, span));
+  }
+  return out;
+}
+
+bool TilingModel::contains_tile(const poly::System& test, const IntVec& params,
+                                const IntVec& tile) const {
+  DPGEN_ASSERT(static_cast<int>(tile.size()) == d_);
+  thread_local IntVec seed;
+  ext_seed_into(params, seed);
+  for (int k = 0; k < d_; ++k)
+    seed[static_cast<std::size_t>(ext_tile(k))] =
+        tile[static_cast<std::size_t>(k)];
+  return test.contains(seed);
 }
 
 Int CellCountFn::count(const IntVec& tile) const {

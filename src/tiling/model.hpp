@@ -142,6 +142,9 @@ class TilingModel {
   int ext_local(int k) const { return p_ + d_ + k; }
 
   const poly::System& extended() const { return extended_; }
+  /// Appends the local box lo_k <= i_k <= hi_k to `sys` (over ext_vars()).
+  void add_local_box(poly::System& sys, const IntVec& lo,
+                     const IntVec& hi) const;
   const poly::System& tile_space() const { return tile_space_; }
 
   // ---- tiles ----------------------------------------------------------------
@@ -294,6 +297,26 @@ class TilingModel {
   /// reference for the row-split checks (and the serial executor's test).
   bool dep_valid_at(const IntVec& orig_point, int dep) const;
 
+  // ---- full/partial tile separation ------------------------------------------
+  /// True when tile t's whole local box 0 <= i_k <= w_k - 1 lies in the
+  /// iteration space, i.e. cell_count(params, t) == prod_k w_k.  On such a
+  /// tile every local and pack bound is a constant.
+  bool tile_full(const IntVec& params, const IntVec& tile) const {
+    return contains_tile(full_test_, params, tile);
+  }
+  /// True when every validity check holds on every cell of tile t's local
+  /// box; on a full tile, exactly when every dependency is valid at every
+  /// cell.
+  bool tile_checks_hold(const IntVec& params, const IntVec& tile) const {
+    return contains_tile(checks_test_, params, tile);
+  }
+  /// The systems behind tile_full / tile_checks_hold, over ext_vars() with
+  /// no local terms: each constraint of extended() (resp. each validity
+  /// check's ext form) minimised over the local box.  known_infeasible()
+  /// when an equality varies over the box, so no tile passes.
+  const poly::System& full_tile_test() const { return full_test_; }
+  const poly::System& checks_hold_test() const { return checks_test_; }
+
   // ---- packing (paper IV.I) ------------------------------------------------------
   /// Scans the producer-local cells of edge e for producer tile q, in the
   /// canonical (pack == unpack) order.  fn receives the producer-local
@@ -417,6 +440,11 @@ class TilingModel {
   /// with a nonzero inner coefficient — the same bounds the canonicalized
   /// generated loop computes as dp_sa/dp_sb.
   void split_row(IntVec& pt, std::vector<Int>& base, CellRow& row) const;
+  /// `c` required on the whole local box, as a constraint over (params,
+  /// tile) (see full_tile_test()).
+  poly::Constraint box_minimum(const poly::Constraint& c) const;
+  bool contains_tile(const poly::System& test, const IntVec& params,
+                     const IntVec& tile) const;
 
   spec::ProblemSpec spec_;
   int p_ = 0;
@@ -441,6 +469,9 @@ class TilingModel {
   std::vector<ValidityCheck> checks_;          // deduplicated, lifted
   std::vector<std::vector<int>> dep_checks_;   // per dependency
   std::vector<int> split_lo_, split_hi_;       // Ge, inner coef > 0 / < 0
+
+  poly::System full_test_;    // extended_ minimised over the local box
+  poly::System checks_test_;  // checks_ minimised over the local box
 
   std::vector<poly::System> face_systems_;  // initial-tile candidates
   std::vector<poly::LoopNest> face_nests_;

@@ -614,6 +614,14 @@ std::string param_args(const IntVec& params) {
 
 PoisonCase poison_case(const std::string& name) {
   if (name == "bandit2") return {problems::bandit2(4).spec, {}, " 11"};
+  if (name == "bandit2_full") {
+    // Under canonicalize, full tiles (4*sum(t) + 12 <= N) take the
+    // constant-bound pack, unpack and center nests; N = 23 has full and
+    // partial tiles.
+    GenOptions gen;
+    gen.passes = PassPipeline::parse("full");
+    return {problems::bandit2(4).spec, gen, " 23"};
+  }
   if (name == "delayed_bandit")
     return {problems::bandit2_delay(3).spec, {}, " 6"};
   if (name == "lcs") {
@@ -677,7 +685,7 @@ TEST_P(EndToEndPoison, PoisonedBuffersLeaveResultsUnchanged) {
 
 INSTANTIATE_TEST_SUITE_P(
     Families, EndToEndPoison,
-    testing::Values("bandit2", "lcs", "delayed_bandit", "msa3", "seam",
+    testing::Values("bandit2", "bandit2_full", "lcs", "delayed_bandit", "msa3", "seam",
                     "affine", "coins", "negative_dep", "smith_waterman"),
     [](const testing::TestParamInfo<const char*>& info) {
       return std::string(info.param);

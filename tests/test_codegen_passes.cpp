@@ -182,6 +182,29 @@ TEST(CodegenPassesSource, DefaultEmissionHasNoPassArtifacts) {
   EXPECT_EQ(src.find("dpgen:vec-inner"), std::string::npos);
   EXPECT_EQ(src.find("#pragma GCC"), std::string::npos);
   EXPECT_EQ(src.find("--passes="), std::string::npos);
+  EXPECT_EQ(src.find("dp_tile_full"), std::string::npos);
+}
+
+TEST(CodegenPassesSource, CanonicalizeSplitsFullTiles) {
+  problems::Problem p = problems::bandit2(8);
+  tiling::TilingModel model(p.spec);
+  GenOptions opt;
+  opt.passes = PassPipeline::parse("canonicalize");
+  std::string src = generate_program(model, opt);
+  // One predicate, used by pack, unpack and execute_tile.
+  EXPECT_NE(src.find("static inline bool dp_tile_full("), std::string::npos);
+  EXPECT_NE(src.find("- 28LL) >= 0"), std::string::npos);
+  EXPECT_NE(src.find("dp_tile_full(P_, dp_t.data()) && "), std::string::npos);
+  std::size_t uses = 0;
+  for (std::size_t at = src.find("const bool dp_full = dp_g_loop_passes && ");
+       at != std::string::npos;
+       at = src.find("const bool dp_full = dp_g_loop_passes && ", at + 1))
+    ++uses;
+  EXPECT_EQ(uses, 2u);
+  // Unroll-only keeps the unspecialised nests.
+  opt.passes = PassPipeline::parse("unroll");
+  EXPECT_EQ(generate_program(model, opt).find("dp_tile_full"),
+            std::string::npos);
 }
 
 TEST(CodegenPassesSource, ManualUnrollWithoutCanonicalize) {
@@ -309,6 +332,34 @@ TEST(CodegenPassesEndToEnd, DownhillFullBitIdentical) {
       EXPECT_EQ(results, baseline) << "passes=" << v.passes;
     EXPECT_DOUBLE_EQ(parse_result(out, p.objective), p.reference(params))
         << "passes=" << v.passes;
+  }
+}
+
+TEST(CodegenPassesEndToEnd, Bandit2FullTilesBitIdentical) {
+  // w = 8: a tile is full when 8*sum(t) + 28 <= N and its checks hold on
+  // the box when 8*sum(t) + 29 <= N.  N = 20 has no full tile, N = 36 has
+  // full tiles on the boundary where the checks fail, N = 61 is general.
+  problems::Problem p = problems::bandit2(8);
+  tiling::TilingModel model(p.spec);
+  auto variants = build_variants(model, {"none", "full"}, "bandit2");
+  for (Int n : {20, 36, 61}) {
+    const std::string args = cat(" ", n, " --ranks=2 --threads=2");
+    std::string baseline;
+    for (const auto& v : variants) {
+      if (!v.prog.ok) continue;
+      for (const char* flag : {"", " --passes=none"}) {
+        if (v.passes == "none" && *flag) continue;
+        auto [status, out] = run_command(cat(v.prog.binary, args, flag));
+        ASSERT_EQ(status, 0) << v.passes << flag << "\n" << out;
+        std::string results = result_lines(out);
+        if (baseline.empty())
+          baseline = results;
+        else
+          EXPECT_EQ(results, baseline) << "N=" << n << " " << v.passes << flag;
+        EXPECT_DOUBLE_EQ(parse_result(out, p.objective), p.reference({n}))
+            << "N=" << n << " " << v.passes << flag;
+      }
+    }
   }
 }
 

@@ -130,6 +130,45 @@ TEST_P(TilingInvariants, InitialTilesMatchBruteForce) {
   }
 }
 
+TEST_P(TilingInvariants, FullTilesAreExactlyTheFullBoxes) {
+  for (auto& w : workloads(GetParam())) {
+    TilingModel m(std::move(w.spec));
+    Int box = 1;
+    for (Int width : m.problem().widths()) box *= width;
+    int full = 0;
+    m.for_each_tile(w.params, [&](const IntVec& t) {
+      const bool is_full = m.tile_full(w.params, t);
+      EXPECT_EQ(is_full, m.cell_count(w.params, t) == box)
+          << w.name << " tile " << vec_to_string(t);
+      full += is_full;
+    });
+    // Width 1 makes every tile one full cell.
+    if (GetParam() == 1) EXPECT_GT(full, 0) << w.name;
+  }
+}
+
+TEST_P(TilingInvariants, WholeBoxChecksMatchBruteForce) {
+  for (auto& w : workloads(GetParam())) {
+    TilingModel m(std::move(w.spec));
+    const int ndeps = static_cast<int>(m.problem().deps().size());
+    m.for_each_tile(w.params, [&](const IntVec& t) {
+      bool all_valid = true;
+      m.for_each_cell(w.params, t, [&](const IntVec&, const IntVec& x) {
+        IntVec pt = w.params;
+        pt.insert(pt.end(), x.begin(), x.end());
+        for (int j = 0; j < ndeps; ++j) all_valid &= m.dep_valid_at(pt, j);
+      });
+      const bool hold = m.tile_checks_hold(w.params, t);
+      // The box test is exact on a full tile (its cells are the box) and
+      // never claims more than the cells show on a partial one.
+      if (m.tile_full(w.params, t))
+        EXPECT_EQ(hold, all_valid) << w.name << " tile " << vec_to_string(t);
+      else if (hold)
+        EXPECT_TRUE(all_valid) << w.name << " tile " << vec_to_string(t);
+    });
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, TilingInvariants,
                          ::testing::Values<Int>(1, 2, 3, 5),
                          [](const auto& info) {
