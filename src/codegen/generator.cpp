@@ -104,12 +104,15 @@ class ProgramBuilder {
     w_.line("//   c++ -std=c++20 -O2 -fopenmp -DDPGEN_RUNTIME_USE_OPENMP");
     w_.line("//       -I<repo>/src <this file> -ldpgen_runtime -ldpgen_minimpi");
     w_.line("//       -ldpgen_obs -ldpgen_support -lpthread");
-    w_.line("// (without OpenMP, worker threads fall back to std::thread).");
+    w_.line("// The double-precision worker loop is compiled into dpgen_runtime,");
+    w_.line("// so threading follows the library build: OpenMP workers when it");
+    w_.line("// was built with OpenMP (link with -fopenmp), else std::thread.");
     w_.line("// Everything below is problem-specific: main parses flags and");
     w_.line("// calls the pre-written launcher (runtime/launch.hpp).");
     w_.line("// Run with --trace=<path> to record a Perfetto timeline and");
     w_.line("// --metrics=<path> for a metrics dump (docs/observability.md);");
-    w_.line("// compiling with -DDPGEN_TRACE=0 removes the span hooks.");
+    w_.line("// The span hooks live in the libraries: configure them with");
+    w_.line("// -DDPGEN_TRACE=OFF and compile this file with -DDPGEN_TRACE=0.");
     w_.line("// --monitor=<path> streams live dpgen.events.v1 telemetry");
     w_.line("// (per-rank heartbeats + online straggler detection) there;");
     w_.line("// --monitor-interval=<seconds> tunes the sampling period.");

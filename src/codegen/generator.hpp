@@ -18,9 +18,11 @@
 // The program #includes the pre-written runtime library headers
 // (runtime/driver.hpp, minimpi/world.hpp) exactly as the paper's generated
 // code links its pre-written communication/memory-management libraries;
-// compile with -I<repo>/src and link dpgen_runtime, dpgen_minimpi and
-// dpgen_support.  With -fopenmp -DDPGEN_RUNTIME_USE_OPENMP the worker loop
-// runs inside an OpenMP parallel region (the hybrid configuration).
+// compile with -I<repo>/src and link dpgen_runtime, dpgen_minimpi,
+// dpgen_obs and dpgen_support.  The double-precision driver (run_node) is
+// compiled once into dpgen_runtime, so the program's worker threads follow
+// that library's build: with OpenMP found, the worker loop runs inside an
+// OpenMP parallel region (the hybrid configuration; link with -fopenmp).
 
 #include <string>
 

@@ -1,8 +1,10 @@
 #include "runtime/checkpoint.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/json.hpp"
@@ -56,11 +58,69 @@ void write_tile(json::Writer& w, const IntVec& tile) {
   w.end_array();
 }
 
+/// A JSON number that must be an integer in [lo, hi]; casting anything
+/// else (1e300, 2.5) would be undefined or lossy.  Bounds stay within
+/// 2^53, where every integer is exact in a double.
+long long read_int(const json::Value& v, long long lo, long long hi) {
+  const double x = v.as_number();
+  DPGEN_CHECK(x >= static_cast<double>(lo) &&
+                  x <= static_cast<double>(hi) && x == std::floor(x),
+              cat("integer field ", x, " is not in [", lo, ", ", hi, "]"));
+  return static_cast<long long>(x);
+}
+
+constexpr long long kMaxExact = 1LL << 53;
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+
 IntVec read_tile(const json::Value& v) {
   IntVec out;
   for (const auto& c : v.as_array())
-    out.push_back(static_cast<Int>(c->as_number()));
+    out.push_back(static_cast<Int>(read_int(*c, -kMaxExact, kMaxExact)));
   return out;
+}
+
+CheckpointDoc parse_checkpoint(const std::string& text) {
+  const json::ValuePtr root = json::parse(text);
+  DPGEN_CHECK(root->is(json::Kind::kObject), "not a JSON object");
+  DPGEN_CHECK(root->at("schema").as_string() == "dpgen.checkpoint.v1",
+              cat("unknown schema '", root->at("schema").as_string(), "'"));
+  CheckpointDoc doc;
+  doc.problem = root->at("problem").as_string();
+  doc.params = root->at("params").as_string();
+  doc.dim = static_cast<int>(read_int(root->at("dim"), 1, kMaxInt));
+  doc.scalar_bytes =
+      static_cast<int>(read_int(root->at("scalar_bytes"), 1, kMaxInt));
+  for (const auto& t : root->at("executed").as_array()) {
+    IntVec tile = read_tile(*t);
+    DPGEN_CHECK(static_cast<int>(tile.size()) == doc.dim,
+                "executed tile of wrong dim");
+    doc.executed.push_back(std::move(tile));
+  }
+  for (const auto& ev : root->at("edges").as_array()) {
+    CheckpointDoc::Edge e;
+    e.consumer = read_tile(ev->at("consumer"));
+    DPGEN_CHECK(static_cast<int>(e.consumer.size()) == doc.dim,
+                "edge consumer of wrong dim");
+    e.edge = static_cast<int>(read_int(ev->at("edge"), 0, kMaxInt));
+    e.payload_bytes = detail::hex_to_bytes(ev->at("payload").as_string());
+    doc.edges.push_back(std::move(e));
+  }
+  const long long declared =
+      read_int(root->at("completed_tiles"), 0, kMaxExact);
+  DPGEN_CHECK(declared == static_cast<long long>(doc.executed.size()),
+              cat("completed_tiles=", declared, " but ", doc.executed.size(),
+                  " executed tiles listed"));
+  if (root->has("ranks")) {
+    for (const auto& rv : root->at("ranks").as_array()) {
+      CheckpointDoc::RankState r;
+      r.rank = static_cast<int>(read_int(rv->at("rank"), 0, kMaxInt));
+      r.pending_tiles = read_int(rv->at("pending_tiles"), 0, kMaxExact);
+      r.ready_tiles = read_int(rv->at("ready_tiles"), 0, kMaxExact);
+      r.buffered_edges = read_int(rv->at("buffered_edges"), 0, kMaxExact);
+      doc.ranks.push_back(r);
+    }
+  }
+  return doc;
 }
 
 }  // namespace
@@ -108,59 +168,14 @@ CheckpointDoc load_checkpoint_json(const std::string& path) {
   DPGEN_CHECK(in.good(), cat("cannot open checkpoint file ", path));
   std::stringstream buf;
   buf << in.rdbuf();
-  json::ValuePtr root;
+  // Shape errors (a missing key, a string where a number belongs) surface
+  // from the JSON reader as std::runtime_error; every rejection leaves
+  // here as dpgen::Error naming the file.
   try {
-    root = json::parse(buf.str());
+    return parse_checkpoint(buf.str());
   } catch (const std::exception& e) {
     raise(cat("checkpoint ", path, ": ", e.what()));
   }
-  DPGEN_CHECK(root->is(json::Kind::kObject),
-              cat("checkpoint ", path, ": not a JSON object"));
-  DPGEN_CHECK(root->at("schema").as_string() == "dpgen.checkpoint.v1",
-              cat("checkpoint ", path, ": unknown schema '",
-                  root->at("schema").as_string(), "'"));
-  CheckpointDoc doc;
-  doc.problem = root->at("problem").as_string();
-  doc.params = root->at("params").as_string();
-  doc.dim = static_cast<int>(root->at("dim").as_number());
-  doc.scalar_bytes = static_cast<int>(root->at("scalar_bytes").as_number());
-  DPGEN_CHECK(doc.dim >= 1 && doc.scalar_bytes >= 1,
-              cat("checkpoint ", path, ": bad geometry"));
-  for (const auto& t : root->at("executed").as_array()) {
-    IntVec tile = read_tile(*t);
-    DPGEN_CHECK(static_cast<int>(tile.size()) == doc.dim,
-                cat("checkpoint ", path, ": executed tile of wrong dim"));
-    doc.executed.push_back(std::move(tile));
-  }
-  for (const auto& ev : root->at("edges").as_array()) {
-    CheckpointDoc::Edge e;
-    e.consumer = read_tile(ev->at("consumer"));
-    DPGEN_CHECK(static_cast<int>(e.consumer.size()) == doc.dim,
-                cat("checkpoint ", path, ": edge consumer of wrong dim"));
-    e.edge = static_cast<int>(ev->at("edge").as_number());
-    DPGEN_CHECK(e.edge >= 0, cat("checkpoint ", path, ": bad edge index"));
-    e.payload_bytes = detail::hex_to_bytes(ev->at("payload").as_string());
-    doc.edges.push_back(std::move(e));
-  }
-  const long long declared =
-      static_cast<long long>(root->at("completed_tiles").as_number());
-  DPGEN_CHECK(declared == static_cast<long long>(doc.executed.size()),
-              cat("checkpoint ", path, ": completed_tiles=", declared,
-                  " but ", doc.executed.size(), " executed tiles listed"));
-  if (root->has("ranks")) {
-    for (const auto& rv : root->at("ranks").as_array()) {
-      CheckpointDoc::RankState r;
-      r.rank = static_cast<int>(rv->at("rank").as_number());
-      r.pending_tiles =
-          static_cast<long long>(rv->at("pending_tiles").as_number());
-      r.ready_tiles =
-          static_cast<long long>(rv->at("ready_tiles").as_number());
-      r.buffered_edges =
-          static_cast<long long>(rv->at("buffered_edges").as_number());
-      doc.ranks.push_back(r);
-    }
-  }
-  return doc;
 }
 
 void write_checkpoint_file(const std::string& path, const std::string& text) {

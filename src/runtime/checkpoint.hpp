@@ -99,6 +99,10 @@ class CheckpointStore {
   static_assert(std::is_trivially_copyable_v<S>,
                 "checkpoint payloads are raw scalar bytes");
 
+  // Defined out of line so the extern instantiation below covers them too.
+  CheckpointStore();
+  ~CheckpointStore();
+
   void set_meta(std::string problem, std::string params, int dim) {
     std::lock_guard<std::mutex> lock(mu_);
     problem_ = std::move(problem);
@@ -139,23 +143,7 @@ class CheckpointStore {
   /// previous attempt records once; later calls are dropped whole (the
   /// edge payloads are deterministic, so first-wins is also last-wins).
   void tile_complete(const IntVec& tile,
-                     std::vector<CheckpointEdge<S>>&& edges) {
-    bool flush_now = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (executed_.count(tile) != 0) return;
-      for (auto& e : edges)
-        edges_[e.consumer].push_back(
-            EdgeData<S>{e.edge, std::move(e.payload)});
-      executed_.insert(tile);
-      if (!json_path_.empty() && every_ > 0 &&
-          ++since_flush_ >= every_) {
-        since_flush_ = 0;
-        flush_now = true;
-      }
-    }
-    if (flush_now) flush();
-  }
+                     std::vector<CheckpointEdge<S>>&& edges);
 
   /// Restore seeding: delivers every stored edge whose consumer `owner`
   /// assigns to `rank` and which has not executed into `table`, and
@@ -189,92 +177,21 @@ class CheckpointStore {
     tables_.erase(rank);
   }
 
-  CheckpointDoc to_doc() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return to_doc_locked();
-  }
+  CheckpointDoc to_doc() const;
 
   /// Serializes to the configured path now (no-op without a path).
   /// flush_mu_ orders concurrent flushers end to end (encode *and* write),
   /// so the file on disk is always the most recently encoded snapshot —
   /// without it a slow writer could rename an older snapshot over a newer
   /// one.
-  void flush() const {
-    std::lock_guard<std::mutex> flush_lock(flush_mu_);
-    std::string path, text;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (json_path_.empty()) return;
-      path = json_path_;
-      text = encode_checkpoint_json(to_doc_locked());
-    }
-    write_checkpoint_file(path, text);
-  }
+  void flush() const;
 
   /// Loads a parsed checkpoint, replacing current contents.  Validates
   /// that it describes the same problem instance and scalar type.
-  void restore_from(const CheckpointDoc& doc) {
-    std::lock_guard<std::mutex> lock(mu_);
-    DPGEN_CHECK(doc.scalar_bytes == static_cast<int>(sizeof(S)),
-                cat("checkpoint scalar width ", doc.scalar_bytes,
-                    " does not match runtime scalar of ",
-                    static_cast<int>(sizeof(S)), " bytes"));
-    DPGEN_CHECK(problem_.empty() || doc.problem == problem_,
-                cat("checkpoint is for problem '", doc.problem,
-                    "', not '", problem_, "'"));
-    DPGEN_CHECK(params_.empty() || doc.params == params_,
-                cat("checkpoint params '", doc.params,
-                    "' do not match run params '", params_, "'"));
-    DPGEN_CHECK(dim_ == 0 || doc.dim == dim_, "checkpoint dim mismatch");
-    replay_.store(true, std::memory_order_release);
-    executed_.clear();
-    edges_.clear();
-    for (const auto& t : doc.executed) executed_.insert(t);
-    for (const auto& e : doc.edges) {
-      DPGEN_CHECK(e.payload_bytes.size() % sizeof(S) == 0,
-                  "checkpoint edge payload is not a whole number of scalars");
-      std::vector<S> payload(e.payload_bytes.size() / sizeof(S));
-      if (!payload.empty())
-        std::memcpy(payload.data(), e.payload_bytes.data(),
-                    e.payload_bytes.size());
-      edges_[e.consumer].push_back(EdgeData<S>{e.edge, std::move(payload)});
-    }
-  }
+  void restore_from(const CheckpointDoc& doc);
 
  private:
-  CheckpointDoc to_doc_locked() const {
-    CheckpointDoc doc;
-    doc.problem = problem_;
-    doc.params = params_;
-    doc.dim = dim_;
-    doc.scalar_bytes = static_cast<int>(sizeof(S));
-    doc.executed.assign(executed_.begin(), executed_.end());
-    // Deterministic file contents: hash-set order varies run to run.
-    std::sort(doc.executed.begin(), doc.executed.end());
-    for (const auto& [consumer, edges] : edges_) {
-      for (const auto& e : edges) {
-        CheckpointDoc::Edge out;
-        out.consumer = consumer;
-        out.edge = e.edge;
-        out.payload_bytes.resize(e.payload.size() * sizeof(S));
-        if (!e.payload.empty())
-          std::memcpy(out.payload_bytes.data(), e.payload.data(),
-                      out.payload_bytes.size());
-        doc.edges.push_back(std::move(out));
-      }
-    }
-    std::sort(doc.edges.begin(), doc.edges.end(),
-              [](const CheckpointDoc::Edge& a, const CheckpointDoc::Edge& b) {
-                if (a.consumer != b.consumer) return a.consumer < b.consumer;
-                return a.edge < b.edge;
-              });
-    for (const auto& [rank, table] : tables_) {
-      const TableSnapshot snap = table->snapshot();
-      doc.ranks.push_back(CheckpointDoc::RankState{
-          rank, snap.pending_tiles, snap.ready_tiles, snap.buffered_edges});
-    }
-    return doc;
-  }
+  CheckpointDoc to_doc_locked() const;
 
   mutable std::mutex mu_;
   mutable std::mutex flush_mu_;  ///< see flush(); always taken before mu_
@@ -288,5 +205,114 @@ class CheckpointStore {
   std::unordered_map<int, const ShardedTileTable<S>*> tables_;
   std::atomic<bool> replay_{false};  ///< see replay_possible()
 };
+
+template <typename S>
+CheckpointStore<S>::CheckpointStore() = default;
+template <typename S>
+CheckpointStore<S>::~CheckpointStore() = default;
+
+template <typename S>
+void CheckpointStore<S>::tile_complete(
+    const IntVec& tile, std::vector<CheckpointEdge<S>>&& edges) {
+  bool flush_now = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (executed_.count(tile) != 0) return;
+    for (auto& e : edges)
+      edges_[e.consumer].push_back(EdgeData<S>{e.edge, std::move(e.payload)});
+    executed_.insert(tile);
+    if (!json_path_.empty() && every_ > 0 && ++since_flush_ >= every_) {
+      since_flush_ = 0;
+      flush_now = true;
+    }
+  }
+  if (flush_now) flush();
+}
+
+template <typename S>
+CheckpointDoc CheckpointStore<S>::to_doc() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return to_doc_locked();
+}
+
+template <typename S>
+void CheckpointStore<S>::flush() const {
+  std::lock_guard<std::mutex> flush_lock(flush_mu_);
+  std::string path, text;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (json_path_.empty()) return;
+    path = json_path_;
+    text = encode_checkpoint_json(to_doc_locked());
+  }
+  write_checkpoint_file(path, text);
+}
+
+template <typename S>
+void CheckpointStore<S>::restore_from(const CheckpointDoc& doc) {
+  std::lock_guard<std::mutex> lock(mu_);
+  DPGEN_CHECK(doc.scalar_bytes == static_cast<int>(sizeof(S)),
+              cat("checkpoint scalar width ", doc.scalar_bytes,
+                  " does not match runtime scalar of ",
+                  static_cast<int>(sizeof(S)), " bytes"));
+  DPGEN_CHECK(problem_.empty() || doc.problem == problem_,
+              cat("checkpoint is for problem '", doc.problem,
+                  "', not '", problem_, "'"));
+  DPGEN_CHECK(params_.empty() || doc.params == params_,
+              cat("checkpoint params '", doc.params,
+                  "' do not match run params '", params_, "'"));
+  DPGEN_CHECK(dim_ == 0 || doc.dim == dim_, "checkpoint dim mismatch");
+  replay_.store(true, std::memory_order_release);
+  executed_.clear();
+  edges_.clear();
+  for (const auto& t : doc.executed) executed_.insert(t);
+  for (const auto& e : doc.edges) {
+    DPGEN_CHECK(e.payload_bytes.size() % sizeof(S) == 0,
+                "checkpoint edge payload is not a whole number of scalars");
+    std::vector<S> payload(e.payload_bytes.size() / sizeof(S));
+    if (!payload.empty())
+      std::memcpy(payload.data(), e.payload_bytes.data(),
+                  e.payload_bytes.size());
+    edges_[e.consumer].push_back(EdgeData<S>{e.edge, std::move(payload)});
+  }
+}
+
+template <typename S>
+CheckpointDoc CheckpointStore<S>::to_doc_locked() const {
+  CheckpointDoc doc;
+  doc.problem = problem_;
+  doc.params = params_;
+  doc.dim = dim_;
+  doc.scalar_bytes = static_cast<int>(sizeof(S));
+  doc.executed.assign(executed_.begin(), executed_.end());
+  // Deterministic file contents: hash-set order varies run to run.
+  std::sort(doc.executed.begin(), doc.executed.end());
+  for (const auto& [consumer, edges] : edges_) {
+    for (const auto& e : edges) {
+      CheckpointDoc::Edge out;
+      out.consumer = consumer;
+      out.edge = e.edge;
+      out.payload_bytes.resize(e.payload.size() * sizeof(S));
+      if (!e.payload.empty())
+        std::memcpy(out.payload_bytes.data(), e.payload.data(),
+                    out.payload_bytes.size());
+      doc.edges.push_back(std::move(out));
+    }
+  }
+  std::sort(doc.edges.begin(), doc.edges.end(),
+            [](const CheckpointDoc::Edge& a, const CheckpointDoc::Edge& b) {
+              if (a.consumer != b.consumer) return a.consumer < b.consumer;
+              return a.edge < b.edge;
+            });
+  for (const auto& [rank, table] : tables_) {
+    const TableSnapshot snap = table->snapshot();
+    doc.ranks.push_back(CheckpointDoc::RankState{
+        rank, snap.pending_tiles, snap.ready_tiles, snap.buffered_edges});
+  }
+  return doc;
+}
+
+// Compiled once in dpgen_runtime (driver.cpp).
+extern template class CheckpointStore<double>;
 
 }  // namespace dpgen::runtime

@@ -26,10 +26,14 @@
 // `runtime.edge_alloc` and hits as `runtime.pool_hit`, so the claim shows
 // up in the metrics rather than relying on code reading.
 //
-// Worker threads are std::threads by default; when compiled with OpenMP
-// and DPGEN_RUNTIME_USE_OPENMP (as generated programs are), the workers
-// run inside an OpenMP parallel region instead, making the program a true
-// hybrid OpenMP + message-passing executable.
+// run_node<double> is compiled once, into dpgen_runtime (driver.cpp):
+// generated programs and the engine link that copy instead of
+// instantiating the driver themselves; other scalar types still
+// instantiate in the caller's translation unit.  Worker threads are
+// std::threads by default; when dpgen_runtime is built with OpenMP (it
+// defines DPGEN_RUNTIME_USE_OPENMP whenever CMake finds OpenMP), the
+// workers run inside an OpenMP parallel region instead, making every run a
+// true hybrid OpenMP + message-passing execution.
 //
 // Observability: every thread of the rank binds to the run's obs::Session
 // (RunOptions::session), every phase of the loop records an
@@ -998,5 +1002,10 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
   }
   return stats;
 }
+
+// Compiled once in dpgen_runtime (driver.cpp).
+extern template RunStats run_node<double>(ProblemHooks<double>&,
+                                          minimpi::Comm&, const RunOptions&,
+                                          CheckpointStore<double>*);
 
 }  // namespace dpgen::runtime

@@ -6,10 +6,10 @@
 // per rank —
 // restarts fault-tolerant runs over the surviving ranks from the
 // checkpoint store, and writes the trace, report, msgtrace, profile and
-// metrics documents (docs/ARCHITECTURE.md).  Only run_node<S> is
-// instantiated in the caller's translation unit, so generated programs
-// built with -fopenmp -DDPGEN_RUNTIME_USE_OPENMP keep the OpenMP worker
-// loop while dpgen_runtime itself is built without OpenMP.
+// metrics documents (docs/ARCHITECTURE.md).  run_node<double> and
+// CheckpointStore<double> are compiled once in dpgen_runtime (driver.cpp),
+// so a double-precision caller instantiates only this thin template; other
+// scalar types instantiate the driver in the caller's translation unit.
 
 #include <functional>
 #include <memory>

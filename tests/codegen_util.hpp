@@ -59,21 +59,29 @@ struct CompiledProgram {
   std::string log;
 };
 
-/// Compiles a generated source warning-clean (-Wall -Wextra -Werror) with
-/// OpenMP enabled (unless DPGEN_TEST_OPENMP=0) and the runtime libraries
-/// linked in.  `opt_flags` replaces the default -O1 (vectorization tests
-/// need -O3).
+/// The compiler invocation every generated-program compile starts with:
+/// warning-clean (-Wall -Wextra -Werror), OpenMP enabled (unless
+/// DPGEN_TEST_OPENMP=0), the build flavour's flags and the source tree on
+/// the include path.
+inline std::string compiler_command(const std::string& opt_flags) {
+  return cat(DPGEN_CXX_COMPILER, " -std=c++20 ", opt_flags, " ",
+             DPGEN_TEST_OPENMP ? "-fopenmp -DDPGEN_RUNTIME_USE_OPENMP " : "",
+             DPGEN_EXTRA_CXX_FLAGS, " -Wall -Wextra -Werror -I",
+             DPGEN_SRC_DIR);
+}
+
+/// Compiles a generated source with compiler_command() and the runtime
+/// libraries linked in.  `opt_flags` replaces the default -O1
+/// (vectorization tests need -O3).
 inline CompiledProgram compile_program(const std::string& src_path,
                                        const std::string& tag,
                                        const std::string& opt_flags = "-O1") {
   CompiledProgram out;
   out.binary = testing::TempDir() + "/dpgen_e2e_" + tag;
   std::string cmd = cat(
-      DPGEN_CXX_COMPILER, " -std=c++20 ", opt_flags, " ",
-      DPGEN_TEST_OPENMP ? "-fopenmp -DDPGEN_RUNTIME_USE_OPENMP " : "",
-      DPGEN_EXTRA_CXX_FLAGS, " -Wall -Wextra -Werror ", "-I", DPGEN_SRC_DIR,
-      " ", src_path, " ", DPGEN_LIB_RUNTIME, " ", DPGEN_LIB_MINIMPI, " ",
-      DPGEN_LIB_OBS, " ", DPGEN_LIB_SUPPORT, " -lpthread -o ", out.binary);
+      compiler_command(opt_flags), " ", src_path, " ", DPGEN_LIB_RUNTIME, " ",
+      DPGEN_LIB_MINIMPI, " ", DPGEN_LIB_OBS, " ", DPGEN_LIB_SUPPORT,
+      " -lpthread -o ", out.binary);
   auto [status, log] = run_command(cmd);
   out.ok = (status == 0);
   out.log = log;

@@ -436,6 +436,9 @@ TEST(EndToEnd, GeneratedMsa3WithEmbeddedSequences) {
 TEST(EndToEnd, GeneratedFloatScalarProgram) {
   // The paper: "the data type of the state array is adjustable in the
   // generated program".  A float-typed countdown must compile and count.
+  // dpgen_runtime compiles the driver for double only, so this program
+  // instantiates run_node<float> in its own translation unit: it is the
+  // test of that fallback path.
   spec::ProblemSpec s;
   s.name("count_f")
       .params({"N"})
@@ -460,6 +463,67 @@ TEST(EndToEnd, GeneratedFloatScalarProgram) {
   auto [status, out] = run_command(cat(prog.binary, " 25 --ranks=2"));
   ASSERT_EQ(status, 0) << out;
   EXPECT_DOUBLE_EQ(parse_result(out, {0}), 26.0) << out;
+}
+
+/// Defined symbols of `nm_args` (an object file, or an archive with -A)
+/// on lines containing `line_filter` that belong to the double-precision
+/// driver, one per line.  Fails the calling test when nm fails or no line
+/// passes the filter.
+std::string driver_symbols(const std::string& nm_args,
+                           const std::string& line_filter = "") {
+  auto [status, out] = run_command(
+      cat(DPGEN_NM, " -C --defined-only ", nm_args));
+  EXPECT_EQ(status, 0) << out;
+  std::istringstream in(out);
+  std::string hits;
+  int listed = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(line_filter) == std::string::npos) continue;
+    ++listed;
+    for (const char* name : {"dpgen::runtime::run_node",
+                             "dpgen::runtime::TileTable",
+                             "dpgen::runtime::ShardedTileTable",
+                             "dpgen::runtime::CheckpointStore"})
+      if (line.find(name) != std::string::npos) {
+        hits += line + "\n";
+        break;
+      }
+  }
+  EXPECT_GT(listed, 0) << "nm listed no symbols for " << nm_args << "\n"
+                       << out;
+  return hits;
+}
+
+TEST(DriverInstantiation, DoubleProgramAndEngineCarryNoDriverCode) {
+  // run_node<double> and CheckpointStore<double> are compiled once, into
+  // dpgen_runtime.  A generated double program and the engine must only
+  // reference them: a definition here means the extern template in
+  // driver.hpp or checkpoint.hpp stopped applying and every program
+  // compiles the whole driver again.
+  if (std::string(DPGEN_NM).empty()) GTEST_SKIP() << "no nm configured";
+  problems::Problem p = problems::bandit2(4);
+  tiling::TilingModel model(p.spec);
+  const std::string src = testing::TempDir() + "/dpgen_extern_gen.cpp";
+  const std::string obj = testing::TempDir() + "/dpgen_extern_gen.o";
+  write_program(model, src);
+  // -O3, as programs are built for speed: at -O3 GCC also instantiates
+  // in-class members of an extern template for inlining, and whatever
+  // they call that is not covered (a sort over a member's lambda) lands
+  // in the program.
+  auto [status, log] = run_command(
+      cat(codegen_test::compiler_command("-O3"), " -c ", src, " -o ", obj));
+  ASSERT_EQ(status, 0) << log;
+  EXPECT_EQ(driver_symbols(obj), "");
+  auto [ustatus, undefined] =
+      run_command(cat(DPGEN_NM, " -C --undefined-only ", obj));
+  ASSERT_EQ(ustatus, 0) << undefined;
+  EXPECT_NE(undefined.find("dpgen::runtime::run_node<double>"),
+            std::string::npos)
+      << undefined;
+
+  // -A prefixes every line with "<archive>:<member>:".
+  EXPECT_EQ(driver_symbols(cat("-A ", DPGEN_LIB_ENGINE), ":engine.cpp.o:"),
+            "");
 }
 
 TEST(EndToEnd, GeneratedNegativeDepProgram) {

@@ -5,13 +5,14 @@
 // across dimensions, multi-tile-crossing vectors), widths, couplings and
 // boundary clipping far beyond the hand-written problems.
 //
-// The edge-message decoder is fuzzed too: seeded mutations of valid wires
-// must either decode to exactly the declared payload or raise
-// dpgen::Error.
+// The edge-message decoder and the checkpoint loader are fuzzed too:
+// seeded mutations of valid wires and documents must either decode (load)
+// exactly or raise dpgen::Error.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <limits>
 
 #include "engine/serial.hpp"
@@ -182,6 +183,136 @@ TEST_P(DecodeEdgeFuzz, FloatWiresDecodeExactlyOrThrow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecodeEdgeFuzz, ::testing::Range(1, 5));
+
+/// Overwrites the number that follows the first `anchor` in `text` with
+/// `value` (no-op when `anchor` does not occur).
+void set_number(std::string& text, const std::string& anchor,
+                const std::string& value) {
+  const std::size_t at = text.find(anchor);
+  if (at == std::string::npos) return;
+  const std::size_t begin = at + anchor.size();
+  std::size_t end = begin;
+  while (end < text.size() &&
+         std::strchr("+-.eE0123456789", text[end]) != nullptr)
+    ++end;
+  text.replace(begin, end - begin, value);
+}
+
+/// Mutates a valid dpgen.checkpoint.v1 document per seed, loads it through
+/// load_checkpoint_json and restores it into a CheckpointStore<double>.
+/// The mutations are truncation, bit flips, a corrupt hex payload, a wrong
+/// dim or scalar_bytes, and huge or fractional numbers in count,
+/// coordinate and index fields.
+void fuzz_checkpoint_loader(std::uint64_t seed) {
+  const char* kNumbers[] = {"0",    "-1",   "1e300",      "-1e300",
+                            "2.5",  "1e18", "4294967296", "9007199254740993",
+                            "8"};
+  const char* kAnchors[] = {"\"completed_tiles\":", "\"executed\":[[",
+                            "\"consumer\":[",       "\"edge\":",
+                            "\"rank\":",            "\"pending_tiles\":"};
+  fuzz::Rng rng(seed);
+  const std::string path =
+      cat(testing::TempDir(), "/dpgen_ckpt_fuzz_", seed, ".json");
+  int loaded = 0, rejected = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    runtime::CheckpointDoc doc;
+    doc.problem = "fuzz";
+    doc.params = "[7]";
+    doc.dim = static_cast<int>(rng.range(1, 3));
+    doc.scalar_bytes = sizeof(double);
+    auto tile = [&] {
+      IntVec t(static_cast<std::size_t>(doc.dim));
+      for (Int& c : t) c = rng.range(-3, 8);
+      return t;
+    };
+    for (Int n = rng.range(0, 4); n > 0; --n) doc.executed.push_back(tile());
+    for (Int n = rng.range(1, 4); n > 0; --n) {
+      runtime::CheckpointDoc::Edge e;
+      e.consumer = tile();
+      e.edge = static_cast<int>(rng.range(0, 3));
+      e.payload_bytes.resize(
+          static_cast<std::size_t>(rng.range(0, 3)) * sizeof(double));
+      for (auto& b : e.payload_bytes)
+        b = static_cast<std::uint8_t>(rng.range(0, 255));
+      doc.edges.push_back(std::move(e));
+    }
+    for (int r = 0, ranks = static_cast<int>(rng.range(0, 2)); r < ranks;
+         ++r)
+      doc.ranks.push_back({r, rng.range(0, 9), rng.range(0, 9), 0});
+    std::string text = runtime::encode_checkpoint_json(doc);
+
+    switch (rng.range(0, 4)) {
+      case 0:
+        text.resize(static_cast<std::size_t>(
+            rng.range(0, static_cast<Int>(text.size()) - 1)));
+        break;
+      case 1:
+        for (Int n = rng.range(1, 4); n > 0; --n) {
+          const auto bit = static_cast<std::size_t>(
+              rng.range(0, static_cast<Int>(text.size()) * 8 - 1));
+          text[bit / 8] = static_cast<char>(text[bit / 8] ^ (1 << (bit % 8)));
+        }
+        break;
+      case 2: {
+        // Prefix one edge's payload with a non-hex digit, an odd digit, a
+        // stray byte (not a whole double) or one whole extra double.
+        const char* kEdits[] = {"0g", "0", "0f", "000000000000f03f"};
+        std::size_t at = text.find("\"payload\":\"");
+        for (Int skip = rng.range(0, 3); skip > 0; --skip) {
+          const std::size_t next = text.find("\"payload\":\"", at + 1);
+          if (next != std::string::npos) at = next;
+        }
+        text.insert(at + std::strlen("\"payload\":\""),
+                    kEdits[rng.range(0, std::size(kEdits) - 1)]);
+        break;
+      }
+      case 3: {
+        // The geometry: off by one, or any of the awkward numbers.
+        const bool dim = rng.range(0, 1) == 0;
+        const int right = dim ? doc.dim : doc.scalar_bytes;
+        set_number(text, dim ? "\"dim\":" : "\"scalar_bytes\":",
+                   rng.range(0, 2) == 0
+                       ? cat(right + (rng.range(0, 1) == 0 ? 1 : -1))
+                       : kNumbers[rng.range(0, std::size(kNumbers) - 1)]);
+        break;
+      }
+      default:
+        set_number(text, kAnchors[rng.range(0, std::size(kAnchors) - 1)],
+                   kNumbers[rng.range(0, std::size(kNumbers) - 1)]);
+        break;
+    }
+    std::ofstream(path, std::ios::trunc) << text;
+
+    runtime::CheckpointStore<double> store;
+    store.set_meta("fuzz", "[7]", doc.dim);
+    runtime::CheckpointDoc back;
+    try {
+      back = runtime::load_checkpoint_json(path);
+      store.restore_from(back);
+    } catch (const Error&) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    // A restored store holds every listed edge and no more tiles than
+    // were listed (duplicates collapse).
+    const runtime::CheckpointDoc restored = store.to_doc();
+    EXPECT_EQ(restored.edges.size(), back.edges.size()) << text;
+    EXPECT_LE(restored.executed.size(), back.executed.size()) << text;
+    EXPECT_TRUE(store.replay_possible());
+  }
+  // Both outcomes must occur, or the mutations miss the loader's checks.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+class CheckpointLoaderFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(CheckpointLoaderFuzz, MutatedDocumentsLoadOrThrow) {
+  fuzz_checkpoint_loader(static_cast<std::uint64_t>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointLoaderFuzz, ::testing::Range(1, 5));
 
 }  // namespace
 }  // namespace dpgen::engine
