@@ -304,23 +304,26 @@ if [[ "${1:-}" != "--quick" ]]; then
     -R 'MiniMpi|Runtime|Obs|Engine|Tracer|Metrics|Export|Hotpath|Monitor|CodegenPasses|Fault|Chaos|Checkpoint|Launch|TableState|Profile|SchemaRegistry|MsgTrace|Recovery|DecisionMatrix|SerialReference' \
     -E 'ChaosSoak.Replay100'
 
-  echo "==== AddressSanitizer + UBSan pass (engine / fuzz / recovery / tiling / hot path)"
+  echo "==== AddressSanitizer + UBSan pass (engine / fuzz / recovery / tiling / hot path / checkpoint resume)"
   # The interpreter's row walk and the pack/unpack runs index tile buffers
   # with raw arithmetic, so these suites run with out-of-bounds and
   # undefined-behaviour checks; test_codegen_passes compiles its generated
   # programs with the same flags (DPGEN_EXTRA_CXX_FLAGS).  test_launch
   # feeds hostile flag values through the launcher's parsers.  test_hotpath
   # drives the worker loop's reused tile buffer and its pooled payload and
-  # wire buffers.
+  # wire buffers.  test_tiling's OwnerTable cases index the owner box with
+  # raw arithmetic, and test_faults' checkpoint cases decode outside input
+  # (the resume checks run pack on a scratch buffer).
   asan_tests="test_engine test_fuzz test_recovery test_tiling test_codegen_passes test_launch test_hotpath"
   cmake -B build-asan -G Ninja \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer"
   # shellcheck disable=SC2086
-  cmake --build build-asan --target $asan_tests
+  cmake --build build-asan --target $asan_tests test_faults
   for t in $asan_tests; do
     "build-asan/tests/$t"
   done
+  build-asan/tests/test_faults --gtest_filter='Checkpoint*'
 
   echo "==== DPGEN_TRACE=0 pass (tracing compiled out)"
   cmake -B build-notrace -G Ninja -DDPGEN_TRACE=OFF

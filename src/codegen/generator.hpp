@@ -2,7 +2,8 @@
 // The program generator (paper sections IV.C and V): assembles a complete,
 // standalone hybrid OpenMP + message-passing C++ program for a problem.
 //
-// The emitted program contains, all specialised to the problem:
+// The emitted program contains only problem geometry, all specialised to
+// the problem:
 //   * the user's global / init / center-loop code, inserted verbatim,
 //   * the tile-existence test (the FM-projected tile space as a C
 //     conjunction),
@@ -10,19 +11,19 @@
 //     loc_rj) and validity flags (is_valid_rj) in scope for the center code,
 //   * pack and unpack functions for every tile edge,
 //   * the initial-tile face scans,
-//   * the load-balancing code (per-cell work counting loop nests — the role
-//     of the paper's Ehrhart polynomials — plus the prefix-cut owner table),
-//   * a main() that parses parameters/options, runs the ranks and prints
-//     the probed results and run statistics.
+//   * the load-balance cell scan with its per-cell work counting nests
+//     (the role of the paper's Ehrhart polynomials),
+//   * a ProgramInfo and a one-line main() calling runtime::run_program.
 //
-// The program #includes the pre-written runtime library headers
-// (runtime/driver.hpp, minimpi/world.hpp) exactly as the paper's generated
-// code links its pre-written communication/memory-management libraries;
-// compile with -I<repo>/src and link dpgen_runtime, dpgen_minimpi,
-// dpgen_obs and dpgen_support.  The double-precision driver (run_node) is
-// compiled once into dpgen_runtime, so the program's worker threads follow
-// that library's build: with OpenMP found, the worker loop runs inside an
-// OpenMP parallel region (the hybrid configuration; link with -fopenmp).
+// The program includes one pre-written runtime header,
+// runtime/program.hpp, exactly as the paper's generated code links its
+// pre-written libraries: the prefix cut (OwnerTable), the result sink,
+// the command line and the run live there and are compiled once into
+// dpgen_runtime.  Compile with -I<repo>/src and link dpgen_runtime,
+// dpgen_minimpi, dpgen_obs and dpgen_support (docs/codegen.md).  The
+// program's worker threads follow that library's build: with OpenMP
+// found, the worker loop runs inside an OpenMP parallel region (the
+// hybrid configuration; link with -fopenmp).
 
 #include <string>
 

@@ -10,16 +10,15 @@ namespace dpgen::engine {
 
 namespace {
 
-/// Shared (per-run, across ranks) state: the recorded values.
+/// Shared (per-run, across ranks) state: every value under record_all, else
+/// the probes; the tracked maximum goes to the sink generated programs use.
 struct Recorder {
+  explicit Recorder(runtime::ProbeLayout probes) : sink(std::move(probes)) {}
   std::mutex mu;
   std::unordered_map<IntVec, double, IntVecHash> values;
   bool record_all = false;
-  std::vector<IntVec> probes;
   bool track_max = false;
-  bool have_max = false;
-  double max_value = 0.0;
-  IntVec max_point;
+  runtime::ResultSink<double> sink;
 };
 
 /// ProblemHooks implementation that interprets the TilingModel.  One
@@ -101,50 +100,28 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
         for (Int i = row.lo; i <= row.hi; ++i) {
           double v = buffer[row.loc + i];
           row.point(i, global);
-          if (!have || v > best || (v == best && global < best_point)) {
+          if (!have || runtime::max_beats(v, global.data(), best,
+                                          best_point.data(), model_.dim())) {
             have = true;
             best = v;
             best_point = global;
           }
         }
       });
-      if (have) {
-        std::lock_guard<std::mutex> lock(recorder_.mu);
-        if (!recorder_.have_max || best > recorder_.max_value ||
-            (best == recorder_.max_value &&
-             best_point < recorder_.max_point)) {
-          recorder_.have_max = true;
-          recorder_.max_value = best;
-          recorder_.max_point = best_point;
-        }
-      }
+      if (have) recorder_.sink.merge_max(best, best_point.data(), model_.dim());
     }
-    if (!recorder_.record_all && recorder_.probes.empty()) return;
-    if (recorder_.record_all) {
-      std::lock_guard<std::mutex> lock(recorder_.mu);
-      IntVec global(static_cast<std::size_t>(model_.dim()));
-      model_.for_each_row(params_, tile, [&](const tiling::CellRow& row) {
-        for (Int i = row.lo; i <= row.hi; ++i) {
-          row.point(i, global);
-          recorder_.values[global] = buffer[row.loc + i];
-        }
-      });
+    if (!recorder_.record_all) {
+      recorder_.sink.record_probes(tile, buffer);
       return;
     }
-    const int d = model_.dim();
-    const auto& w = model_.problem().widths();
-    for (const auto& probe : recorder_.probes) {
-      bool inside = true;
-      IntVec local(static_cast<std::size_t>(d));
-      for (int k = 0; k < d && inside; ++k) {
-        auto ks = static_cast<std::size_t>(k);
-        if (floor_div(probe[ks], w[ks]) != tile[ks]) inside = false;
-        local[ks] = probe[ks] - w[ks] * tile[ks];
+    std::lock_guard<std::mutex> lock(recorder_.mu);
+    IntVec global(static_cast<std::size_t>(model_.dim()));
+    model_.for_each_row(params_, tile, [&](const tiling::CellRow& row) {
+      for (Int i = row.lo; i <= row.hi; ++i) {
+        row.point(i, global);
+        recorder_.values[global] = buffer[row.loc + i];
       }
-      if (!inside) continue;
-      std::lock_guard<std::mutex> lock(recorder_.mu);
-      recorder_.values[probe] = buffer[model_.local_index(local)];
-    }
+    });
   }
 
   Int pack(int edge, const IntVec& producer, const double* buffer,
@@ -198,9 +175,9 @@ long long EngineResult::total(long long runtime::RunStats::* field) const {
 
 EngineResult run(const tiling::TilingModel& model, const IntVec& params,
                  const CenterFn& center, const EngineOptions& options) {
-  Recorder recorder;
+  Recorder recorder({options.probes, model.problem().widths(),
+                     model.strides(), model.ghost_lo()});
   recorder.record_all = options.record_all;
-  recorder.probes = options.probes;
   recorder.track_max = options.track_max;
 
   // One Ehrhart load-balance cut per attempt, over the ranks still alive.
@@ -224,8 +201,10 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
   static_cast<runtime::LaunchResult&>(result) =
       runtime::launch<double>(plan, options, labels);
   result.values = std::move(recorder.values);
-  result.max_value = recorder.max_value;
-  result.max_point = std::move(recorder.max_point);
+  for (const auto& [point, value] : recorder.sink.values())
+    result.values.emplace(point, value);
+  result.max_value = recorder.sink.max_value();
+  result.max_point = recorder.sink.max_point();
   return result;
 }
 

@@ -262,7 +262,6 @@ class Monitor {
 
   void detect_locked(double t_s);
   void event_line(const std::string& line);
-  void write_event_header(const char* event, double t_s);
 
   MonitorOptions opt_;
   /// predicted_work is usable: one positive entry per rank.

@@ -214,7 +214,6 @@ class Profiler {
   bool active() const { return active_.load(std::memory_order_relaxed); }
 
   /// True when the active run reads real perf events ("perf" mode).
-  bool perf_mode() const { return perf_mode_; }
 
   /// Arms the profiler: decides the counter mode once (perf probe unless
   /// forced to cputime), installs the SIGPROF handler, enables ScopedSpan

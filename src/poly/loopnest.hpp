@@ -107,12 +107,4 @@ void for_each_point(const LoopNest& nest, IntVec seed, Fn&& fn) {
   detail::scan_level(nest, seed, 0, fn);
 }
 
-/// Same scan but mutating the caller's seed in place (no copy).  The scanned
-/// components of `seed` are clobbered; callers reusing a scratch vector
-/// across calls avoid one allocation per scan.
-template <typename Fn>
-void for_each_point_inplace(const LoopNest& nest, IntVec& seed, Fn&& fn) {
-  detail::scan_level(nest, seed, 0, fn);
-}
-
 }  // namespace dpgen::poly

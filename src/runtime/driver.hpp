@@ -14,9 +14,9 @@
 //   6. poll for incoming edges when the comm lock is available.
 //
 // Only tiles in execution hold full buffers; everything else is packed
-// edges.  The problem-specific pieces are supplied through ProblemHooks:
-// the interpreted engine implements them by walking the TilingModel, and
-// generated programs implement them with emitted loop nests.
+// edges.  The problem-specific pieces are supplied through ProblemHooks
+// (runtime/program.hpp): the interpreted engine implements them by walking
+// the TilingModel, and generated programs with emitted loop nests.
 //
 // The steady-state loop is allocation-free: payload vectors cycle through
 // a per-worker BufferPool (unpack releases feed the very next pack
@@ -64,6 +64,7 @@
 #include "obs/trace.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/checkpoint.hpp"
+#include "runtime/program.hpp"
 #include "runtime/tile_table.hpp"
 
 #if defined(_OPENMP) && defined(DPGEN_RUNTIME_USE_OPENMP)
@@ -71,63 +72,6 @@
 #endif
 
 namespace dpgen::runtime {
-
-/// The problem-specific interface the driver runs against.  All methods
-/// must be safe to call from multiple worker threads concurrently.
-template <typename S>
-class ProblemHooks {
- public:
-  virtual ~ProblemHooks() = default;
-
-  /// Number of tile dimensions.
-  virtual int dim() const = 0;
-  /// Scalars in one tile buffer (interior + ghost ring).
-  virtual Int buffer_size() const = 0;
-
-  /// Tile edges (distinct tile-dependency offsets).
-  virtual int num_edges() const = 0;
-  virtual const IntVec& edge_offset(int edge) const = 0;
-  /// Upper bound on the scalars `edge` can carry (any producer tile); the
-  /// driver sizes pack destinations with it before calling pack().
-  virtual Int edge_capacity(int edge) const = 0;
-
-  /// True when the tile exists (is inside the tile space).
-  virtual bool tile_exists(const IntVec& tile) const = 0;
-  /// Number of in-space dependencies of an existing tile.
-  virtual int dep_count(const IntVec& tile) const = 0;
-  /// Appends every dependency-free tile (across all ranks) to out.
-  virtual void initial_tiles(std::vector<IntVec>& out) const = 0;
-
-  /// Owning rank of a tile and the number of tiles a rank owns.
-  virtual int owner(const IntVec& tile) const = 0;
-  virtual Int owned_tiles(int rank) const = 0;
-
-  /// Cell count of a tile (Ehrhart-exact where available; 0 = unknown).
-  /// Only consulted when live monitoring is on: the straggler detector
-  /// prefers cells over tile counts because tile costs are heavy-tailed.
-  virtual Int tile_cells(const IntVec& tile) const {
-    (void)tile;
-    return 0;
-  }
-
-  /// Runs the tile's loop nest over `buffer` (ghosts already unpacked).
-  virtual void execute_tile(const IntVec& tile, S* buffer) = 0;
-  /// Called after execution with the filled buffer (result capture).
-  virtual void on_tile_executed(const IntVec& tile, const S* buffer) {
-    (void)tile;
-    (void)buffer;
-  }
-
-  /// Packs the producer-side cells of `edge` from `buffer` into `out`
-  /// (room for at least edge_capacity(edge) scalars); returns the number
-  /// of scalars packed.
-  virtual Int pack(int edge, const IntVec& producer, const S* buffer,
-                   S* out) const = 0;
-  /// Unpacks edge data into the consumer tile's buffer ghost cells;
-  /// `producer` identifies the tile the data came from.
-  virtual void unpack(int edge, const IntVec& producer, const S* data,
-                      Int count, S* buffer) const = 0;
-};
 
 struct RunOptions {
   int threads = 1;

@@ -11,62 +11,102 @@ namespace dpgen::runtime {
 
 namespace {
 
-/// The value of `--name=value` when `arg` has that prefix.
-std::optional<std::string> flag_value(const std::string& arg,
-                                      const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  if (!starts_with(arg, prefix)) return std::nullopt;
-  return arg.substr(prefix.size());
+using Opt = LaunchOptions;
+using Arg = const std::string&;
+
+/// One generated-program flag: `--name=VALUE`, or the bare switch
+/// `--name` when `value` (the usage line's placeholder) is null.
+struct Flag {
+  const char* name;
+  const char* value;
+  void (*apply)(Opt& options, Arg value);
+};
+
+template <std::string LaunchOptions::*Path>
+void set_path(Opt& o, Arg v) {
+  o.*Path = v;
 }
+
+int count(Arg v, const char* flag) {
+  return static_cast<int>(parse_int(v, flag, 1, INT_MAX));
+}
+
+// The one flag set: parse_flag takes these, usage() lists them in order.
+const Flag kFlags[] = {
+    {"ranks", "R", [](Opt& o, Arg v) { o.ranks = count(v, "--ranks"); }},
+    {"threads", "T", [](Opt& o, Arg v) { o.threads = count(v, "--threads"); }},
+    {"capacity", "C",
+     [](Opt& o, Arg v) {
+       o.mailbox_capacity =
+           static_cast<std::size_t>(parse_int(v, "--capacity", 0));
+     }},
+    {"shards", "S",
+     [](Opt& o, Arg v) { o.queue_shards = count(v, "--shards"); }},
+    {"policy", "column|level",
+     [](Opt& o, Arg v) {
+       DPGEN_CHECK(v == "column" || v == "level",
+                   cat("bad --policy value '", v,
+                       "' (expected column|level)"));
+       o.policy = v == "level" ? PriorityPolicy::kLevelSet
+                               : PriorityPolicy::kColumnMajor;
+     }},
+    {"trace", "FILE", set_path<&Opt::trace_json_path>},
+    {"metrics", "FILE", set_path<&Opt::metrics_json_path>},
+    {"report", "FILE", set_path<&Opt::report_json_path>},
+    {"msgtrace", "FILE", set_path<&Opt::msgtrace_json_path>},
+    {"monitor", "FILE", set_path<&Opt::monitor_path>},
+    {"monitor-interval", "S",
+     [](Opt& o, Arg v) {
+       o.monitor_interval = parse_double(v, "--monitor-interval");
+     }},
+    {"profile", "FILE", set_path<&Opt::profile_path>},
+    {"profile-hz", "N",
+     [](Opt& o, Arg v) { o.profile_hz = parse_double(v, "--profile-hz"); }},
+    {"profile-cputime", nullptr,
+     [](Opt& o, Arg) { o.profile_force_cputime = true; }},
+    {"poison-buffers", nullptr, [](Opt& o, Arg) { o.poison_buffers = true; }},
+};
 
 }  // namespace
 
 bool LaunchOptions::parse_flag(const std::string& arg) {
-  if (auto v = flag_value(arg, "ranks")) {
-    ranks = static_cast<int>(parse_int(*v, "--ranks", 1, INT_MAX));
-  } else if (auto v = flag_value(arg, "threads")) {
-    threads = static_cast<int>(parse_int(*v, "--threads", 1, INT_MAX));
-  } else if (auto v = flag_value(arg, "shards")) {
-    queue_shards = static_cast<int>(parse_int(*v, "--shards", 1, INT_MAX));
-  } else if (auto v = flag_value(arg, "capacity")) {
-    mailbox_capacity =
-        static_cast<std::size_t>(parse_int(*v, "--capacity", 0));
-  } else if (auto v = flag_value(arg, "policy")) {
-    DPGEN_CHECK(*v == "column" || *v == "level",
-                cat("bad --policy value '", *v, "' (expected column|level)"));
-    policy = *v == "level" ? PriorityPolicy::kLevelSet
-                           : PriorityPolicy::kColumnMajor;
-  } else if (auto v = flag_value(arg, "monitor-interval")) {
-    monitor_interval = parse_double(*v, "--monitor-interval");
-  } else if (auto v = flag_value(arg, "profile-hz")) {
-    profile_hz = parse_double(*v, "--profile-hz");
-  } else if (arg == "--profile-cputime") {
-    profile_force_cputime = true;
-  } else if (arg == "--poison-buffers") {
-    poison_buffers = true;
-  } else {
-    for (auto [flag, path] : {std::pair{"trace", &trace_json_path},
-                              std::pair{"metrics", &metrics_json_path},
-                              std::pair{"report", &report_json_path},
-                              std::pair{"msgtrace", &msgtrace_json_path},
-                              std::pair{"monitor", &monitor_path},
-                              std::pair{"profile", &profile_path}}) {
-      if (auto v = flag_value(arg, flag)) {
-        DPGEN_CHECK(!v->empty(), cat("--", flag, " needs a FILE"));
-        *path = *v;
-        return true;
-      }
-    }
-    return false;
+  for (const Flag& f : kFlags) {
+    const std::string dashed = cat("--", f.name);
+    if (f.value ? !starts_with(arg, dashed + "=") : arg != dashed) continue;
+    const std::string v = f.value ? arg.substr(dashed.size() + 1) : "";
+    DPGEN_CHECK(!v.empty() || !f.value || std::string(f.value) != "FILE",
+                cat(dashed, " needs a FILE"));
+    f.apply(*this, v);
+    return true;
   }
-  return true;
+  return false;
 }
 
-void print_summary(const LaunchOptions& options, const LaunchResult& result) {
+std::string LaunchOptions::usage() {
+  std::vector<std::string> parts;
+  for (const Flag& f : kFlags)
+    parts.push_back(f.value ? cat("[--", f.name, "=", f.value, "]")
+                            : cat("[--", f.name, "]"));
+  return join(parts, " ");
+}
+
+void print_summary(const LaunchOptions& options, const LaunchResult& result,
+                   long long total_work) {
+  long long tiles = 0, remote = 0, peak_edges = 0, stall_warnings = 0;
+  unsigned long long bytes = 0;
+  double init_scan = 0.0;
+  for (const RunStats& s : result.rank_stats) {
+    tiles += s.tiles_executed;
+    remote += s.remote_edges;
+    bytes += s.bytes_sent;
+    peak_edges = std::max(peak_edges, s.table.peak_buffered_edges);
+    init_scan = std::max(init_scan, s.init_scan_seconds);
+    stall_warnings += s.stall_warnings;
+  }
+  std::printf("STATS tiles=%lld total_work=%lld remote_edges=%lld "
+              "bytes=%llu peak_edges=%lld init_scan_s=%.6f\n",
+              tiles, total_work, remote, bytes, peak_edges, init_scan);
   if (!options.monitor_path.empty()) {
-    long long stall_warnings = 0;
-    for (const RunStats& s : result.rank_stats)
-      stall_warnings += s.stall_warnings;
     for (const obs::StragglerFlag& f : result.stragglers)
       std::fprintf(stderr,
                    "dpgen: straggler: rank %d pace=%.4g median=%.4g "

@@ -83,11 +83,12 @@ struct LaunchOptions {
   double profile_hz = 97.0;  ///< per worker thread, clamped to [1, 10000]
   bool profile_force_cputime = false;  ///< cputime counters even with perf
 
-  /// Applies one generated-program flag (--ranks=R ... --profile-cputime,
-  /// the generated usage string's set, plus the debugging flag
-  /// --poison-buffers).  Returns false when `arg` is not one; throws
+  /// Applies one generated-program flag (--ranks=R ... --poison-buffers,
+  /// the set usage() lists).  Returns false when `arg` is not one; throws
   /// dpgen::Error on a malformed or out-of-range value.
   bool parse_flag(const std::string& arg);
+  /// "[--ranks=R] [--threads=T] ...": every flag parse_flag accepts.
+  static std::string usage();
 };
 
 /// Labels stamped into the run's documents.
@@ -128,9 +129,11 @@ struct LaunchResult {
   minimpi::FaultStats fault_stats;
 };
 
-/// Prints the MONITOR, PROFILE and MSGTRACE summary lines (and straggler
-/// warnings on stderr) for whichever of those channels `options` enabled.
-void print_summary(const LaunchOptions& options, const LaunchResult& result);
+/// Prints a generated program's STATS line, then the MONITOR, PROFILE and
+/// MSGTRACE lines (and straggler warnings on stderr) for whichever of
+/// those channels `options` enabled.
+void print_summary(const LaunchOptions& options, const LaunchResult& result,
+                   long long total_work);
 
 namespace detail {
 
@@ -149,6 +152,37 @@ LaunchResult launch(const std::function<Attempt(int alive)>& plan,
 
 }  // namespace detail
 
+/// Rejects a checkpoint that does not fit the problem before it seeds a
+/// run: every executed tile, edge consumer and producer must be in the
+/// tile space, every edge index in [0, num_edges()), and every payload as
+/// long as pack() makes that edge of that producer.
+template <typename S>
+void check_resume(const CheckpointDoc& doc, const ProblemHooks<S>& hooks) {
+  auto in_space = [&](const IntVec& t, const char* what) {
+    DPGEN_CHECK(static_cast<int>(t.size()) == hooks.dim() &&
+                    hooks.tile_exists(t),
+                cat("checkpoint: ", what, " ", vec_to_string(t),
+                    " is not in the tile space"));
+  };
+  for (const IntVec& t : doc.executed) in_space(t, "executed tile");
+  std::vector<S> buffer(static_cast<std::size_t>(hooks.buffer_size())), out;
+  for (const CheckpointDoc::Edge& e : doc.edges) {
+    DPGEN_CHECK(e.edge >= 0 && e.edge < hooks.num_edges(),
+                cat("checkpoint: edge index ", e.edge, " outside [0, ",
+                    hooks.num_edges(), ")"));
+    in_space(e.consumer, "edge consumer");
+    const IntVec producer = vec_add(e.consumer, hooks.edge_offset(e.edge));
+    in_space(producer, "edge producer");
+    out.resize(static_cast<std::size_t>(hooks.edge_capacity(e.edge)));
+    const auto bytes = static_cast<std::size_t>(
+        hooks.pack(e.edge, producer, buffer.data(), out.data())) * sizeof(S);
+    DPGEN_CHECK(e.payload_bytes.size() == bytes,
+                cat("checkpoint: edge ", e.edge, " into ",
+                    vec_to_string(e.consumer), " carries ",
+                    e.payload_bytes.size(), " bytes, not ", bytes));
+  }
+}
+
 /// Runs a problem end to end; `plan(alive)` must return a LaunchPlan<S> for
 /// a fleet of `alive` ranks (called once per attempt).
 template <typename S, typename PlanFn>
@@ -165,9 +199,12 @@ LaunchResult launch(const PlanFn& plan, const LaunchOptions& options,
           checkpoint = &store;
           store.set_meta(labels.problem, vec_to_string(labels.params),
                          hooks->dim());
-          if (!options.resume_checkpoint_path.empty())
-            store.restore_from(
-                load_checkpoint_json(options.resume_checkpoint_path));
+          if (!options.resume_checkpoint_path.empty()) {
+            const CheckpointDoc doc =
+                load_checkpoint_json(options.resume_checkpoint_path);
+            check_resume(doc, *hooks);
+            store.restore_from(doc);
+          }
           if (!options.checkpoint_json_path.empty())
             store.configure_flush(options.checkpoint_json_path,
                                   options.checkpoint_every_tiles);

@@ -77,10 +77,6 @@ class Rat {
     return std::strong_ordering::equal;
   }
 
-  double to_double() const {
-    return static_cast<double>(num_) / static_cast<double>(den_);
-  }
-
   std::string to_string() const {
     if (den_ == 1) return std::to_string(num_);
     return std::to_string(num_) + "/" + std::to_string(den_);

@@ -4,138 +4,36 @@
 #include <numeric>
 
 #include "support/error.hpp"
-#include "support/str.hpp"
 
 namespace dpgen::tiling {
 
 LoadBalancer::LoadBalancer(const TilingModel& model, const IntVec& params,
                            int nranks, BalanceMethod method)
-    : model_(model), nranks_(nranks), method_(method) {
-  DPGEN_CHECK(nranks >= 1, "load balancer needs at least one rank");
-  DPGEN_CHECK(nranks == 1 || !model.lb_dims().empty(),
+    : OwnerTable(model.lb_dims()) {
+  DPGEN_CHECK(nranks <= 1 || !model.lb_dims().empty(),
               "multi-rank runs require load-balance dimensions in the spec");
-  work_.assign(static_cast<std::size_t>(nranks), 0);
-  tiles_.assign(static_cast<std::size_t>(nranks), 0);
-
   struct Cell {
     IntVec lb;
-    Int work;
-    Int tiles;
+    Int work, tiles;
   };
   std::vector<Cell> cells;
   model.for_each_lb_cell(params, [&](const IntVec& lb) {
-    Cell c;
-    c.lb = lb;
-    c.work = model.cell_count_lb(params, lb);
-    c.tiles = model.tile_count_lb(params, lb);
-    total_work_ = add_ck(total_work_, c.work);
-    cells.push_back(std::move(c));
+    cells.push_back({lb, model.cell_count_lb(params, lb),
+                     model.tile_count_lb(params, lb)});
   });
-
   if (method == BalanceMethod::kHyperplane) {
     // Order by the all-ones hyperplane over the balanced dimensions, then
-    // lexicographically; the prefix cut below then slices along diagonal
-    // level sets (Fig. 8).
+    // lexicographically; the prefix cut then slices along diagonal level
+    // sets (Fig. 8).  kPerDimension keeps the natural lb1-major order.
     std::stable_sort(cells.begin(), cells.end(),
                      [](const Cell& a, const Cell& b) {
                        Int sa = std::accumulate(a.lb.begin(), a.lb.end(), Int{0});
                        Int sb = std::accumulate(b.lb.begin(), b.lb.end(), Int{0});
-                       if (sa != sb) return sa < sb;
-                       return a.lb < b.lb;
+                       return sa != sb ? sa < sb : a.lb < b.lb;
                      });
   }
-  // (kPerDimension keeps the natural lb1-major scan order.)
-
-  Int cum = 0;
-  for (const auto& c : cells) {
-    int rank = 0;
-    if (total_work_ > 0) {
-      // Prefix cut: the cell whose preceding cumulative work is in
-      // [i*W/P, (i+1)*W/P) goes to rank i.
-      rank = static_cast<int>(
-          (static_cast<__int128>(cum) * nranks_) / total_work_);
-      rank = std::min(rank, nranks_ - 1);
-    }
-    owner_by_cell_.emplace(c.lb, rank);
-    work_[static_cast<std::size_t>(rank)] += c.work;
-    tiles_[static_cast<std::size_t>(rank)] += c.tiles;
-    cum = add_ck(cum, c.work);
-  }
-
-  // Dense owner table over the cells' bounding box, unless the box is so
-  // much larger than the cell set that the memory is not worth it.
-  if (!cells.empty()) {
-    const std::size_t nd = cells[0].lb.size();
-    IntVec lo = cells[0].lb;
-    IntVec hi = cells[0].lb;
-    for (const auto& c : cells)
-      for (std::size_t i = 0; i < nd; ++i) {
-        lo[i] = std::min(lo[i], c.lb[i]);
-        hi[i] = std::max(hi[i], c.lb[i]);
-      }
-    Int vol = 1;
-    bool ok = true;
-    for (std::size_t i = 0; i < nd && ok; ++i) {
-      vol = mul_ck(vol, hi[i] - lo[i] + 1);
-      if (vol > std::max<Int>(4096, 8 * static_cast<Int>(cells.size())))
-        ok = false;
-    }
-    if (ok) {
-      flat_lo_ = lo;
-      flat_extents_.resize(nd);
-      for (std::size_t i = 0; i < nd; ++i)
-        flat_extents_[i] = hi[i] - lo[i] + 1;
-      owner_flat_.assign(static_cast<std::size_t>(vol), -1);
-      for (const auto& [lb, rank] : owner_by_cell_) {
-        std::size_t idx = 0;
-        for (std::size_t i = 0; i < nd; ++i)
-          idx = idx * static_cast<std::size_t>(flat_extents_[i]) +
-                static_cast<std::size_t>(lb[i] - flat_lo_[i]);
-        owner_flat_[idx] = rank;
-      }
-    }
-  }
-}
-
-int LoadBalancer::owner(const IntVec& tile) const {
-  const auto& dims = model_.lb_dims();
-  if (dims.empty()) return 0;
-  // Called once per outgoing edge in the runtime hot path: the dense box
-  // lookup is allocation- and hash-free.
-  if (!owner_flat_.empty()) {
-    std::size_t idx = 0;
-    bool inside = true;
-    for (std::size_t i = 0; i < dims.size(); ++i) {
-      const Int v = tile[static_cast<std::size_t>(dims[i])] - flat_lo_[i];
-      if (v < 0 || v >= flat_extents_[i]) {
-        inside = false;
-        break;
-      }
-      idx = idx * static_cast<std::size_t>(flat_extents_[i]) +
-            static_cast<std::size_t>(v);
-    }
-    const int rank = inside ? owner_flat_[idx] : -1;
-    DPGEN_CHECK(rank >= 0,
-                cat("tile ", vec_to_string(tile),
-                    " has no load-balance cell; is it in the tile space?"));
-    return rank;
-  }
-  thread_local IntVec lb;
-  lb.assign(dims.size(), 0);
-  for (std::size_t i = 0; i < lb.size(); ++i)
-    lb[i] = tile[static_cast<std::size_t>(dims[i])];
-  auto it = owner_by_cell_.find(lb);
-  DPGEN_CHECK(it != owner_by_cell_.end(),
-              cat("tile ", vec_to_string(tile),
-                  " has no load-balance cell; is it in the tile space?"));
-  return it->second;
-}
-
-double LoadBalancer::imbalance() const {
-  if (total_work_ == 0) return 1.0;
-  Int max_work = *std::max_element(work_.begin(), work_.end());
-  double avg = static_cast<double>(total_work_) / nranks_;
-  return static_cast<double>(max_work) / avg;
+  for (const Cell& c : cells) add_cell(c.lb.data(), c.work, c.tiles);
+  cut(nranks);
 }
 
 }  // namespace dpgen::tiling

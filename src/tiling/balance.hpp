@@ -8,10 +8,10 @@
 // Ehrhart polynomials play).  The hyperplane method orders cells by the
 // level sets of the all-ones hyperplane over the balanced dimensions before
 // cutting, which shortens the pipeline critical path on wedge-shaped
-// spaces.
+// spaces.  The cut and the owner lookup are runtime::OwnerTable's, the
+// same ones a generated program runs.
 
-#include <unordered_map>
-
+#include "runtime/program.hpp"
 #include "tiling/model.hpp"
 
 namespace dpgen::tiling {
@@ -22,41 +22,13 @@ enum class BalanceMethod {
 };
 
 /// Assigns every tile to a rank so that per-rank work (location counts) is
-/// as even as the cell granularity allows.
-class LoadBalancer {
+/// as even as the cell granularity allows: the model's cells, in the
+/// method's order, in an OwnerTable cut over `nranks`.
+class LoadBalancer : public runtime::OwnerTable {
  public:
   /// Requires lb dimensions in the model when nranks > 1.
   LoadBalancer(const TilingModel& model, const IntVec& params, int nranks,
                BalanceMethod method = BalanceMethod::kPerDimension);
-
-  int nranks() const { return nranks_; }
-  BalanceMethod method() const { return method_; }
-
-  /// Owning rank of a tile (must be in the tile space).
-  int owner(const IntVec& tile) const;
-
-  Int total_work() const { return total_work_; }
-  Int owned_work(int rank) const { return work_[static_cast<std::size_t>(rank)]; }
-  Int owned_tiles(int rank) const { return tiles_[static_cast<std::size_t>(rank)]; }
-  Int num_cells() const { return static_cast<Int>(owner_by_cell_.size()); }
-
-  /// Largest-to-average work ratio: 1.0 is a perfect balance.
-  double imbalance() const;
-
- private:
-  const TilingModel& model_;
-  int nranks_;
-  BalanceMethod method_;
-  Int total_work_ = 0;
-  std::vector<Int> work_;
-  std::vector<Int> tiles_;
-  std::unordered_map<IntVec, int, IntVecHash> owner_by_cell_;
-  // Dense owner lookup over the lb cells' bounding box (-1 marks holes).
-  // owner() is on the per-edge runtime hot path, where the hash-map probe
-  // shows up; the box is skipped when too sparse to be worth the memory.
-  IntVec flat_lo_;
-  IntVec flat_extents_;
-  std::vector<int> owner_flat_;
 };
 
 }  // namespace dpgen::tiling

@@ -342,11 +342,13 @@ TilingModel::TilingModel(spec::ProblemSpec problem) : spec_(std::move(problem)) 
     for (int k = 0; k < d_; ++k)
       if (std::find(lb_dims_.begin(), lb_dims_.end(), k) == lb_dims_.end())
         drop.push_back(ext_tile(k));
-    lb_space_ = tile_space_.eliminated_all(drop);
-    lb_space_.remove_redundant();
+    // The load-balancing space: the tile space with the non-balanced tile
+    // indices eliminated.
+    poly::System lb_space = tile_space_.eliminated_all(drop);
+    lb_space.remove_redundant();
     std::vector<int> lb_order;
     for (int k : lb_dims_) lb_order.push_back(ext_tile(k));
-    lb_nest_ = poly::LoopNest::build(lb_space_, lb_order);
+    lb_nest_ = poly::LoopNest::build(lb_space, lb_order);
   }
 
   // ---- counters ----------------------------------------------------------------------

@@ -414,15 +414,11 @@ class TilingModel {
   /// Tile-order priority (paper Fig. 5): the load-balanced dimensions,
   /// then the rest in loop order.
   std::vector<int> priority_dims() const;
-  /// The load-balancing space: tile space with non-balanced tile indices
-  /// eliminated (over params + t_lb in ext_vars order).
-  const poly::System& lb_space() const { return lb_space_; }
   /// Scans load-balance cells in priority (lb1-major) order.
   void for_each_lb_cell(const IntVec& params,
                         const std::function<void(const IntVec&)>& fn) const;
 
   // ---- loop nests, exposed for code emission ---------------------------------
-  const poly::LoopNest& tile_nest() const { return tile_nest_; }
   const poly::LoopNest& local_nest() const { return local_nest_; }
   const poly::LoopNest& lb_nest() const { return lb_nest_; }
   const poly::LoopNest& pack_nest(int edge) const {
@@ -477,7 +473,6 @@ class TilingModel {
   std::vector<poly::LoopNest> face_nests_;
 
   std::vector<int> lb_dims_;
-  poly::System lb_space_;
   poly::LoopNest lb_nest_;
 
   // Counters (constructed lazily would complicate const-ness; build once).

@@ -10,7 +10,7 @@
 // fault-tolerance machinery lost or double-applied work.
 //
 // result_lines() reproduces the exact printf formats a generated program
-// uses for its RESULT/MAX lines (src/codegen/generator.cpp), so the
+// uses for its RESULT/MAX lines (runtime::ResultSink::print), so the
 // equality proven here is the one end users would diff.
 
 #include <algorithm>

@@ -18,6 +18,7 @@
 #include "obs/trace.hpp"
 #include "poly/parse.hpp"
 #include "problems/problems.hpp"
+#include "runtime/launch.hpp"
 #include "support/json_schema.hpp"
 #include "support/str.hpp"
 #include "tiling/balance.hpp"
@@ -122,42 +123,27 @@ TEST(GeneratedSource, ProbeDefaultsToOrigin) {
   problems::Problem p = problems::bandit2(4);
   tiling::TilingModel model(p.spec);
   std::string src = generate_program(model);
-  EXPECT_NE(src.find("kProbes[kNumProbes][kDim] = {{0LL, 0LL, 0LL, 0LL}}"),
+  EXPECT_NE(src.find(".probes = {.probes = {{0LL, 0LL, 0LL, 0LL}},"),
             std::string::npos);
 }
 
 TEST(GeneratedSource, MainDelegatesToLauncher) {
-  // Run orchestration lives once, in runtime::launch: the emitted main
-  // parses flags and calls it, and touches neither the run's observability
-  // state nor the document writers itself.
+  // The command line, the run and the printed lines live once, in
+  // runtime::run_program: the emitted main is one call, and the program
+  // parses no flags, cuts no load balance and touches neither the run's
+  // observability state nor the document writers itself.
   problems::Problem p = problems::bandit2(8);
   tiling::TilingModel model(p.spec);
   std::string src = generate_program(model);
-  EXPECT_NE(src.find("dpgen::runtime::launch<dp_scalar>("), std::string::npos);
-  EXPECT_NE(src.find("dp_opt.parse_flag(argv[i])"), std::string::npos);
+  EXPECT_NE(src.find("int main(int argc, char** argv) {\n"
+                     "  return dpgen::runtime::run_program(dp_program, argc, "
+                     "argv);\n}\n"),
+            std::string::npos);
   for (const char* banned :
-       {"obs::Session", "ThreadBinding", "Profiler::instance()",
+       {"launch<", "parse_flag", "usage:", "printf", "__int128", "std::map",
+        "std::mutex", "obs::Session", "ThreadBinding", "Profiler::instance()",
         "MonitorOptions", "write_report_json"})
     EXPECT_EQ(src.find(banned), std::string::npos) << banned;
-}
-
-TEST(GeneratedSource, OwnerLookupAllocatesNothing) {
-  // owner() runs once per outgoing edge: it indexes a flat table over the
-  // load-balance cells' bounding box and builds no container per call.
-  problems::Problem p = problems::bandit2(8);
-  tiling::TilingModel model(p.spec);
-  std::string src = generate_program(model);
-  const auto begin = src.find("int owner(const dpgen::IntVec& t) const");
-  ASSERT_NE(begin, std::string::npos);
-  const auto end = src.find("owned_tiles(int rank)", begin);
-  ASSERT_NE(end, std::string::npos);
-  const std::string body = src.substr(begin, end - begin);
-  EXPECT_NE(body.find("owner_[dp_idx]"), std::string::npos) << body;
-  for (const char* banned : {"std::map", "std::vector", ".find("})
-    EXPECT_EQ(body.find(banned), std::string::npos) << banned << " in\n"
-                                                    << body;
-  EXPECT_EQ(src.find("std::map<std::vector<long long>, int>"),
-            std::string::npos);
 }
 
 TEST(GeneratedSource, WriteProgramCreatesFile) {
@@ -467,7 +453,7 @@ TEST(EndToEnd, GeneratedFloatScalarProgram) {
 
 /// Defined symbols of `nm_args` (an object file, or an archive with -A)
 /// on lines containing `line_filter` that belong to the double-precision
-/// driver, one per line.  Fails the calling test when nm fails or no line
+/// driver or to the compiled half of runtime/program.hpp, one per line.  Fails the calling test when nm fails or no line
 /// passes the filter.
 std::string driver_symbols(const std::string& nm_args,
                            const std::string& line_filter = "") {
@@ -483,7 +469,10 @@ std::string driver_symbols(const std::string& nm_args,
     for (const char* name : {"dpgen::runtime::run_node",
                              "dpgen::runtime::TileTable",
                              "dpgen::runtime::ShardedTileTable",
-                             "dpgen::runtime::CheckpointStore"})
+                             "dpgen::runtime::CheckpointStore",
+                             "dpgen::runtime::OwnerTable::",
+                             "dpgen::runtime::ResultSink<double>::",
+                             "dpgen::runtime::run_program"})
       if (line.find(name) != std::string::npos) {
         hits += line + "\n";
         break;
@@ -495,11 +484,12 @@ std::string driver_symbols(const std::string& nm_args,
 }
 
 TEST(DriverInstantiation, DoubleProgramAndEngineCarryNoDriverCode) {
-  // run_node<double> and CheckpointStore<double> are compiled once, into
+  // run_node<double>, CheckpointStore<double>, run_program<double>,
+  // ResultSink<double> and OwnerTable are compiled once, into
   // dpgen_runtime.  A generated double program and the engine must only
-  // reference them: a definition here means the extern template in
-  // driver.hpp or checkpoint.hpp stopped applying and every program
-  // compiles the whole driver again.
+  // reference them: a definition here means an extern template in
+  // driver.hpp, checkpoint.hpp or program.hpp stopped applying and every
+  // program compiles that code again.
   if (std::string(DPGEN_NM).empty()) GTEST_SKIP() << "no nm configured";
   problems::Problem p = problems::bandit2(4);
   tiling::TilingModel model(p.spec);
@@ -517,13 +507,37 @@ TEST(DriverInstantiation, DoubleProgramAndEngineCarryNoDriverCode) {
   auto [ustatus, undefined] =
       run_command(cat(DPGEN_NM, " -C --undefined-only ", obj));
   ASSERT_EQ(ustatus, 0) << undefined;
-  EXPECT_NE(undefined.find("dpgen::runtime::run_node<double>"),
+  EXPECT_NE(undefined.find("dpgen::runtime::run_program<double>"),
             std::string::npos)
       << undefined;
 
   // -A prefixes every line with "<archive>:<member>:".
   EXPECT_EQ(driver_symbols(cat("-A ", DPGEN_LIB_ENGINE), ":engine.cpp.o:"),
             "");
+}
+
+TEST(DriverInstantiation, DoubleProgramIncludesOnlyTheProgramHeader) {
+  // A double program compiles its geometry against runtime/program.hpp
+  // alone: nothing of the launcher, the driver, the observability layer or
+  // the message-passing layer is in its include closure.
+  problems::Problem p = problems::bandit2(8);
+  tiling::TilingModel model(p.spec);
+  GenOptions gen;
+  gen.passes = PassPipeline::parse("full");
+  const std::string src = testing::TempDir() + "/dpgen_closure_gen.cpp";
+  write_program(model, src, gen);
+  auto [status, deps] =
+      run_command(cat(codegen_test::compiler_command("-O1"), " -MM ", src));
+  ASSERT_EQ(status, 0) << deps;
+  const std::string root = DPGEN_SRC_DIR;
+  EXPECT_NE(deps.find(root + "/runtime/program.hpp"), std::string::npos)
+      << deps;
+  for (const std::string& banned :
+       {root + "/obs/", root + "/minimpi/", root + "/runtime/driver.hpp",
+        root + "/runtime/launch.hpp", root + "/runtime/checkpoint.hpp",
+        root + "/runtime/tile_table.hpp"})
+    EXPECT_EQ(deps.find(banned), std::string::npos) << banned << " in\n"
+                                                    << deps;
 }
 
 TEST(EndToEnd, GeneratedNegativeDepProgram) {
@@ -639,17 +653,38 @@ TEST(EndToEnd, GeneratedProgramRejectsBadUsage) {
   problems::Problem p = problems::bandit2(4);
   tiling::TilingModel model(p.spec);
   std::string src_path = testing::TempDir() + "/dpgen_usage_gen.cpp";
-  write_program(model, src_path);
+  GenOptions gen;
+  gen.passes = PassPipeline::parse("full");
+  write_program(model, src_path, gen);
   auto prog = compile_program(src_path, "usage");
   ASSERT_TRUE(prog.ok) << prog.log;
   auto [status, out] = run_command(prog.binary);  // missing N
   EXPECT_NE(status, 0);
   EXPECT_NE(out.find("usage:"), std::string::npos);
-  auto [status2, out2] = run_command(prog.binary + std::string(" 5 --bogus"));
-  EXPECT_NE(status2, 0);
+  // Every flag the usage line names is one the launcher's parser takes.
+  const std::string usage = out.substr(out.find("usage:"));
+  int flags = 0;
+  for (std::size_t at = usage.find("[--"); at != std::string::npos;
+       at = usage.find("[--", at + 1)) {
+    std::string flag = usage.substr(at + 1, usage.find(']', at) - at - 1);
+    ++flags;
+    if (flag == "--passes=none|full") continue;  // the program's own flag
+    // A placeholder value: the first choice, or any valid number or path.
+    if (const auto eq = flag.find('='); eq != std::string::npos) {
+      const std::string value = flag.substr(eq + 1);
+      flag = flag.substr(0, eq + 1) +
+             (value.find('|') != std::string::npos
+                  ? value.substr(0, value.find('|'))
+                  : std::string("1"));
+    }
+    runtime::LaunchOptions options;
+    EXPECT_TRUE(options.parse_flag(flag)) << flag << " in " << usage;
+  }
+  EXPECT_GE(flags, 15) << usage;
   // Hostile values are a dpgen error with exit status 2, never a crash.
   for (const char* args : {" 5 --ranks=0", " 5 --threads=0", " five",
-                           " 5 --capacity=-1", " 5 --ranks=2x"}) {
+                           " 5 --capacity=-1", " 5 --ranks=2x", " 5 --bogus",
+                           " 5 --passes=bogus", " 5 6"}) {
     auto [bad_status, bad_out] = run_command(prog.binary + args);
     ASSERT_TRUE(WIFEXITED(bad_status)) << args << ": " << bad_out;
     EXPECT_EQ(WEXITSTATUS(bad_status), 2) << args << ": " << bad_out;

@@ -584,6 +584,63 @@ TEST(CheckpointResume, PartialCheckpointResumesToIdenticalOutput) {
   EXPECT_EQ(executed, static_cast<long long>(total - doc.executed.size()));
 }
 
+TEST(CheckpointResume, OutOfRangeResumeInputRejected) {
+  // The loader checks a checkpoint's shape; the launcher then checks it
+  // against the problem before any rank starts.  Each document below
+  // loads, as the loader fuzzer's out-of-range documents do, and must be
+  // refused with a dpgen::Error instead of seeding the run: an edge index
+  // past num_edges(), tiles outside the tile space, and payloads shorter
+  // or longer than pack() makes for that edge.
+  const auto cases = chaos::chaos_cases();
+  const ChaosCase& c = cases[1];  // lcs
+  const std::string path =
+      ::testing::TempDir() + "dpgen_checkpoint_hostile.json";
+  auto opt = chaos::base_options(2, 1, 1);
+  opt.fault_tolerant = true;
+  opt.checkpoint_json_path = path;
+  (void)chaos::run_case(c, opt);
+  const runtime::CheckpointDoc valid = runtime::load_checkpoint_json(path);
+  ASSERT_FALSE(valid.edges.empty());
+  ASSERT_FALSE(valid.executed.empty());
+
+  auto resume_with = [&](const runtime::CheckpointDoc& doc) {
+    runtime::write_checkpoint_file(path,
+                                   runtime::encode_checkpoint_json(doc));
+    auto resume = chaos::base_options(2, 1, 1);
+    resume.fault_tolerant = true;
+    resume.resume_checkpoint_path = path;
+    (void)chaos::run_case(c, resume);
+  };
+  std::vector<std::pair<std::string, runtime::CheckpointDoc>> hostile;
+  auto mutate = [&](const std::string& what, auto&& edit) {
+    runtime::CheckpointDoc doc = valid;
+    edit(doc);
+    hostile.emplace_back(what, std::move(doc));
+  };
+  mutate("edge index 8", [](auto& d) { d.edges[0].edge = 8; });
+  mutate("consumer outside the space",
+         [](auto& d) { d.edges[0].consumer = {-3, 8}; });
+  mutate("consumer of the wrong dim",
+         [](auto& d) { d.edges[0].consumer = {0}; });
+  mutate("executed tile outside the space",
+         [](auto& d) { d.executed.push_back({99, 99}); });
+  mutate("short payload", [](auto& d) {
+    for (auto& e : d.edges)
+      if (!e.payload_bytes.empty()) {
+        e.payload_bytes.resize(e.payload_bytes.size() - sizeof(double));
+        break;
+      }
+  });
+  mutate("long payload", [](auto& d) {
+    d.edges[0].payload_bytes.resize(
+        d.edges[0].payload_bytes.size() + sizeof(double), 0);
+  });
+  for (const auto& [what, doc] : hostile)
+    EXPECT_THROW(resume_with(doc), Error) << what;
+  // The untouched document still resumes.
+  EXPECT_NO_THROW(resume_with(valid));
+}
+
 TEST(CheckpointResume, MismatchedProblemRejected) {
   runtime::CheckpointDoc doc;
   doc.problem = "other";

@@ -16,6 +16,7 @@
 #include "problems/problems.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/driver.hpp"
+#include "tiling/balance.hpp"
 #include "tiling/model.hpp"
 
 // ---- global allocation counter -------------------------------------------
@@ -264,6 +265,28 @@ long long interpreter_pass(const tiling::TilingModel& model,
     }
   }
   return g_heap_allocs.load() - a0;
+}
+
+TEST(Hotpath, OwnerTableLookupAllocatesNothing) {
+  // owner() runs once per outgoing edge in every executor: neither the
+  // dense box lookup nor the sparse binary search allocates.
+  const tiling::TilingModel model(problems::bandit2(2).spec);
+  const IntVec params{14};
+  const tiling::LoadBalancer dense(model, params, 3);
+  std::vector<IntVec> tiles;
+  model.for_each_tile(params, [&](const IntVec& t) { tiles.push_back(t); });
+  runtime::OwnerTable sparse({0});
+  for (Int x : {Int{0}, Int{3}, Int{1 << 20}}) sparse.add_cell(&x, 1, 1);
+  sparse.cut(2);
+  const std::vector<IntVec> sparse_tiles = {{0}, {3}, {1 << 20}};
+  long long sum = 0;
+  const long long a0 = g_heap_allocs.load();
+  for (int pass = 0; pass < 4; ++pass) {
+    for (const IntVec& t : tiles) sum += dense.owner(t);
+    for (const IntVec& t : sparse_tiles) sum += sparse.owner(t);
+  }
+  EXPECT_EQ(g_heap_allocs.load() - a0, 0);
+  EXPECT_GT(sum, 0);
 }
 
 TEST(Hotpath, InterpreterSteadyStateAllocationFree) {

@@ -52,6 +52,36 @@ TEST(Launch, ParseFlagAcceptsEveryGeneratedProgramFlag) {
   EXPECT_EQ(o.policy, PriorityPolicy::kColumnMajor);
 }
 
+TEST(Launch, UsageNamesEveryParsedFlag) {
+  // usage() and parse_flag() read one flag table: every "[--name=VALUE]"
+  // the usage line shows parses once VALUE is filled in, and every flag
+  // parse_flag takes above appears in it.
+  const std::string usage = LaunchOptions::usage();
+  std::vector<std::string> shown;
+  for (std::size_t at = usage.find("[--"); at != std::string::npos;
+       at = usage.find("[--", at + 1)) {
+    std::string flag = usage.substr(at + 1, usage.find(']', at) - at - 1);
+    shown.push_back(flag.substr(0, flag.find('=')));
+    if (const auto eq = flag.find('='); eq != std::string::npos) {
+      const std::string value = flag.substr(eq + 1);
+      flag = flag.substr(0, eq + 1) +
+             (value.find('|') != std::string::npos
+                  ? value.substr(0, value.find('|'))
+                  : std::string("1"));
+    }
+    LaunchOptions o;
+    EXPECT_TRUE(o.parse_flag(flag)) << flag;
+  }
+  EXPECT_EQ(shown.size(), 15u) << usage;
+  for (const char* name :
+       {"--ranks", "--threads", "--capacity", "--shards", "--policy",
+        "--trace", "--metrics", "--report", "--msgtrace", "--monitor",
+        "--monitor-interval", "--profile", "--profile-hz",
+        "--profile-cputime", "--poison-buffers"})
+    EXPECT_NE(std::find(shown.begin(), shown.end(), name), shown.end())
+        << name << " missing from " << usage;
+}
+
 TEST(Launch, ParseFlagLeavesOtherArgumentsToTheCaller) {
   LaunchOptions o;
   for (const char* arg : {"--bogus", "--passes=none", "--ranks", "ranks=2",

@@ -1,11 +1,17 @@
 // Unit and property tests for the tiling model: extended/tile spaces, tile
 // dependencies, ghost geometry and mapping functions, pack spaces, validity
-// checks, initial-tile detection and the load balancer.
+// checks, initial-tile detection, the load balancer and the owner table
+// under it (runtime::OwnerTable).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
 
+#include "problems/problems.hpp"
+#include "runtime/program.hpp"
 #include "tiling/balance.hpp"
 #include "tiling/model.hpp"
 
@@ -343,6 +349,135 @@ TEST(TilingModel, TwoLbDimsOnBandit4d) {
   for (int r = 0; r < 4; ++r) total += lb.owned_work(r);
   EXPECT_EQ(total, 1365);
   EXPECT_EQ(m.lb_dims(), (std::vector<int>{0, 1}));
+}
+
+// ---- runtime::OwnerTable ----------------------------------------------------
+
+/// Every packaged family at a size with a few dozen load-balance cells.
+std::vector<std::pair<problems::Problem, IntVec>> packaged_families() {
+  const std::vector<std::string> seqs2 = {problems::random_dna(20, 1),
+                                          problems::random_dna(18, 2)};
+  const std::vector<std::string> seqs3 = {"ACGTAC", "AGTCAG", "ACGGTA"};
+  std::vector<std::pair<problems::Problem, IntVec>> out;
+  out.emplace_back(problems::bandit2(2), IntVec{12});
+  out.emplace_back(problems::bandit3(2), IntVec{6});
+  out.emplace_back(problems::bandit2_delay(2), IntVec{8});
+  out.emplace_back(problems::msa(seqs3, 2), problems::sequence_params(seqs3));
+  out.emplace_back(problems::lcs(seqs2, 2), problems::sequence_params(seqs2));
+  out.emplace_back(problems::edit_distance(seqs2[0], seqs2[1], 2),
+                   problems::sequence_params(seqs2));
+  out.emplace_back(
+      problems::smith_waterman(seqs2[0], seqs2[1], 2.0, -1.0, -1.0, 2),
+      problems::sequence_params(seqs2));
+  out.emplace_back(problems::align_affine(seqs2[0], seqs2[1], 1.0, 3.0, 1.0, 2),
+                   problems::sequence_params(seqs2));
+  out.emplace_back(problems::coin_change({1, 5, 7}, 2), IntVec{40});
+  out.emplace_back(problems::seam_carving(4), IntVec{20, 17});
+  out.emplace_back(problems::trellis(4), IntVec{20, 17});
+  out.emplace_back(problems::downhill(2, 4), IntVec{20, 17});
+  return out;
+}
+
+TEST(OwnerTable, PrefixCutMatchesBruteForceOnEveryFamily) {
+  // The table is fed the model's cells (in the order a BalanceMethod
+  // gives); its per-rank work and tiles must equal a cut computed here
+  // tile by tile: a cell belongs to the largest rank r with
+  // r * total <= (work before the cell) * ranks.
+  for (auto& [problem, params] : packaged_families()) {
+    const TilingModel model(problem.spec);
+    const std::string name = problem.spec.problem_name();
+    for (BalanceMethod method :
+         {BalanceMethod::kPerDimension, BalanceMethod::kHyperplane}) {
+      std::vector<IntVec> cells;
+      model.for_each_lb_cell(params,
+                             [&](const IntVec& lb) { cells.push_back(lb); });
+      EXPECT_GE(cells.size(), 8u) << name;
+      if (method == BalanceMethod::kHyperplane)
+        std::stable_sort(cells.begin(), cells.end(),
+                         [](const IntVec& a, const IntVec& b) {
+                           const Int sa = std::accumulate(a.begin(), a.end(), Int{0});
+                           const Int sb = std::accumulate(b.begin(), b.end(), Int{0});
+                           return sa != sb ? sa < sb : a < b;
+                         });
+      // Per-cell work and tiles from a scan of every tile.
+      std::map<IntVec, std::pair<Int, Int>> per_cell;
+      model.for_each_tile(params, [&](const IntVec& t) {
+        IntVec lb;
+        for (int k : model.lb_dims()) lb.push_back(t[static_cast<std::size_t>(k)]);
+        per_cell[lb].first += model.cell_count(params, t);
+        per_cell[lb].second += 1;
+      });
+      Int total = 0;
+      for (const auto& [lb, wt] : per_cell) total += wt.first;
+      for (int ranks = 1; ranks <= 8; ++ranks) {
+        runtime::OwnerTable table(model.lb_dims());
+        for (const IntVec& lb : cells)
+          table.add_cell(lb.data(), model.cell_count_lb(params, lb),
+                         model.tile_count_lb(params, lb));
+        table.cut(ranks);
+        std::vector<Int> work(static_cast<std::size_t>(ranks), 0);
+        std::vector<Int> tiles(static_cast<std::size_t>(ranks), 0);
+        std::map<IntVec, int> rank_of;
+        Int before = 0;
+        for (const IntVec& lb : cells) {
+          int rank = 0;
+          while (rank + 1 < ranks && (rank + 1) * total <= before * ranks)
+            ++rank;
+          rank_of[lb] = rank;
+          work[static_cast<std::size_t>(rank)] += per_cell[lb].first;
+          tiles[static_cast<std::size_t>(rank)] += per_cell[lb].second;
+          before += per_cell[lb].first;
+        }
+        const LoadBalancer balancer(model, params, ranks, method);
+        for (int r = 0; r < ranks; ++r) {
+          EXPECT_EQ(table.owned_work(r), work[static_cast<std::size_t>(r)])
+              << name << " rank " << r << "/" << ranks;
+          EXPECT_EQ(table.owned_tiles(r), tiles[static_cast<std::size_t>(r)])
+              << name << " rank " << r << "/" << ranks;
+          EXPECT_EQ(balancer.owned_work(r), table.owned_work(r)) << name;
+        }
+        EXPECT_EQ(table.total_work(), total) << name;
+        model.for_each_tile(params, [&](const IntVec& t) {
+          IntVec lb;
+          for (int k : model.lb_dims())
+            lb.push_back(t[static_cast<std::size_t>(k)]);
+          ASSERT_EQ(table.owner(t), rank_of[lb]) << name << " "
+                                                 << vec_to_string(t);
+        });
+      }
+    }
+  }
+}
+
+TEST(OwnerTable, HolesAndOutsideTilesRaise) {
+  // bandit2's (s1, f1) cells fill a triangle, so the dense box has holes.
+  const TilingModel model(problems::bandit2(2).spec);
+  const LoadBalancer balancer(model, {12}, 3);
+  EXPECT_NO_THROW(balancer.owner({0, 0, 0, 0}));
+  EXPECT_NO_THROW(balancer.owner({6, 0, 0, 0}));
+  EXPECT_THROW(balancer.owner({6, 6, 0, 0}), Error);   // hole in the box
+  EXPECT_THROW(balancer.owner({-1, 0, 0, 0}), Error);  // below the box
+  EXPECT_THROW(balancer.owner({0, 99, 0, 0}), Error);  // above it
+
+  // Two cells far apart: the box is too sparse, so lookups binary search.
+  runtime::OwnerTable sparse({0});
+  for (Int x : {Int{0}, Int{5}, Int{1000000}}) sparse.add_cell(&x, 1, 1);
+  sparse.cut(2);
+  EXPECT_EQ(sparse.owner({0}), 0);
+  EXPECT_EQ(sparse.owner({5}), 0);
+  EXPECT_EQ(sparse.owner({1000000}), 1);
+  EXPECT_THROW(sparse.owner({4}), Error);
+  EXPECT_THROW(sparse.owner({-3}), Error);
+  EXPECT_THROW(sparse.owner({2000000}), Error);
+
+  // No lb dimensions: one cell, the whole space, on rank 0 of any cut.
+  runtime::OwnerTable whole;
+  whole.add_cell(nullptr, 10, 4);
+  whole.cut(3);
+  EXPECT_EQ(whole.owner({7, 8}), 0);
+  EXPECT_EQ(whole.owned_tiles(0), 4);
+  EXPECT_EQ(whole.owned_work(2), 0);
+  EXPECT_THROW(whole.cut(0), Error);
 }
 
 }  // namespace
