@@ -6,9 +6,9 @@
 //   $ ./generate_program spec.txt out.cpp      # generate a program
 //   $ ./generate_program                       # demo: sample -> bandit2.gen.cpp
 //
-// Compile the output with:
-//   c++ -std=c++20 -O2 -fopenmp -DDPGEN_RUNTIME_USE_OPENMP \
-//       -I<repo>/src out.cpp libdpgen_runtime.a libdpgen_minimpi.a \
+// Compile the output with (one command):
+//   c++ -std=c++20 -O2 -fopenmp -DDPGEN_RUNTIME_USE_OPENMP
+//       -I<repo>/src out.cpp libdpgen_runtime.a libdpgen_minimpi.a
 //       libdpgen_obs.a libdpgen_support.a -lpthread -o solver
 //   ./solver <params...> [--ranks=R] [--threads=T] [--trace=FILE]
 //            [--metrics=FILE] [--report=FILE]

@@ -11,7 +11,8 @@
 #     tiling, codegen passes),
 #   * a -DDPGEN_TRACE=0 build proving the tracing macro path compiles
 #     and the suite still passes with every span compiled out,
-#   * a Release (-O2 -DNDEBUG) build-and-bench smoke: the HOTPATH table
+#   * a Release (-O3 -DNDEBUG) build: the DriverInstantiation, EndToEnd
+#     and Codegen tests, and a bench smoke, the HOTPATH table
 #     (dpgen-bench --table=HOTPATH),
 #   * the continuous-benchmarking gate: dpgen-bench runs a quick subset,
 #     validates the emitted dpgen.bench.v1 document, archives the run,
@@ -330,11 +331,17 @@ if [[ "${1:-}" != "--quick" ]]; then
   cmake --build build-notrace
   ctest --test-dir build-notrace --output-on-failure
 
-  echo "==== Release bench smoke (hot-path throughput)"
-  # The deliver/pop cycle on its own is hotpath/table_deliver_pop, gated
-  # in the next leg.
+  echo "==== Release tests and bench smoke (hot-path throughput)"
+  # Generated programs are measured in Release, where GCC instantiates and
+  # inlines differently (an implicit destructor of an extern template
+  # once landed in engine.cpp.o at -O3 only): the symbol, include-closure
+  # and generated-program tests run on this tree too.  The deliver/pop
+  # cycle on its own is hotpath/table_deliver_pop, gated in the next leg.
   cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release --target dpgen-bench
+  cmake --build build-release --target dpgen-bench test_codegen \
+    test_codegen_fuzz test_codegen_passes
+  ctest --test-dir build-release --output-on-failure \
+    -R '^(DriverInstantiation\.|EndToEnd\.|Families/EndToEnd|Codegen|Seeds/Codegen)'
   build-release/tools/dpgen-bench --table=HOTPATH
 
   echo "==== continuous-benchmarking gate (dpgen-bench)"

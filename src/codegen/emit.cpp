@@ -83,16 +83,16 @@ std::string bound_cpp(const poly::Bound& b,
     // coef*v + rest >= 0  ->  v >= ceil(-rest / coef).  Unit coefficients
     // and exact divisors fold to the plain expression: no dp_ceildiv call
     // (and nothing opaque to the vectorizer) in the emitted bound.
-    if (b.coef == 1) return "(" + expr_cpp(-b.rest, names) + ")";
+    if (b.coef == 1) return cat("(", expr_cpp(-b.rest, names), ")");
     if (exactly_divisible(b.rest, b.coef))
-      return "(" + expr_cpp(divided(-b.rest, b.coef), names) + ")";
+      return cat("(", expr_cpp(divided(-b.rest, b.coef), names), ")");
     return cat("dp_ceildiv(", expr_cpp(-b.rest, names), ", ", b.coef, "LL)");
   }
   // coef*v + rest >= 0 with coef < 0  ->  v <= floor(rest / -coef)
   Int div = neg_ck(b.coef);
-  if (div == 1) return "(" + expr_cpp(b.rest, names) + ")";
+  if (div == 1) return cat("(", expr_cpp(b.rest, names), ")");
   if (exactly_divisible(b.rest, div))
-    return "(" + expr_cpp(divided(b.rest, div), names) + ")";
+    return cat("(", expr_cpp(divided(b.rest, div), names), ")");
   return cat("dp_floordiv(", expr_cpp(b.rest, names), ", ", div, "LL)");
 }
 

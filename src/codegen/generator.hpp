@@ -17,9 +17,10 @@
 //
 // The program includes one pre-written runtime header,
 // runtime/program.hpp, exactly as the paper's generated code links its
-// pre-written libraries: the prefix cut (OwnerTable), the result sink,
-// the command line and the run live there and are compiled once into
-// dpgen_runtime.  Compile with -I<repo>/src and link dpgen_runtime,
+// pre-written libraries.  That header declares only the hooks, the plain
+// data the program hands over and run_program; the prefix cut
+// (OwnerTable), the result sink, the command line and the run sit behind
+// run_program and are compiled once into dpgen_runtime.  Compile with -I<repo>/src and link dpgen_runtime,
 // dpgen_minimpi, dpgen_obs and dpgen_support (docs/codegen.md).  The
 // program's worker threads follow that library's build: with OpenMP
 // found, the worker loop runs inside an OpenMP parallel region (the

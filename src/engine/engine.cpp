@@ -10,29 +10,26 @@ namespace dpgen::engine {
 
 namespace {
 
-/// Shared (per-run, across ranks) state: every value under record_all, else
-/// the probes; the tracked maximum goes to the sink generated programs use.
+/// Every value of the run under record_all (shared across ranks); the
+/// probes and the tracked maximum go to the run's ResultSink.
 struct Recorder {
-  explicit Recorder(runtime::ProbeLayout probes) : sink(std::move(probes)) {}
   std::mutex mu;
   std::unordered_map<IntVec, double, IntVecHash> values;
   bool record_all = false;
   bool track_max = false;
-  runtime::ResultSink<double> sink;
 };
 
 /// ProblemHooks implementation that interprets the TilingModel.  One
-/// instance (owning the attempt's load-balance cut) serves every rank.
+/// instance serves every rank.
 class ModelHooks final : public runtime::ProblemHooks<double> {
  public:
   ModelHooks(const tiling::TilingModel& model, const IntVec& params,
-             tiling::LoadBalancer balancer, const CenterFn& center,
-             Recorder& recorder, EdgeStore* edge_store,
+             const CenterFn& center, Recorder& recorder,
+             EdgeStore* edge_store,
              const std::function<void(const IntVec&)>& tile_hook,
              DecisionLog* decision_log)
       : model_(model),
         params_(params),
-        balancer_(std::move(balancer)),
         center_(center),
         recorder_(recorder),
         edge_store_(edge_store),
@@ -66,13 +63,6 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
     model_.for_each_initial_tile(params_,
                                  [&](const IntVec& t) { out.push_back(t); });
   }
-  int owner(const IntVec& tile) const override {
-    return balancer_.owner(tile);
-  }
-  Int owned_tiles(int rank) const override {
-    return balancer_.owned_tiles(rank);
-  }
-
   void execute_tile(const IntVec& tile, double* buffer) override {
     if (decision_log_) {
       // Per-thread scratch like the rest of the hot path: the log copies
@@ -88,32 +78,29 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
     }
   }
 
+  bool tile_max(const IntVec& tile, const double* buffer, double& value,
+                Int* point) const override {
+    if (!recorder_.track_max) return false;
+    bool have = false;
+    IntVec global(static_cast<std::size_t>(model_.dim()));
+    model_.for_each_row(params_, tile, [&](const tiling::CellRow& row) {
+      for (Int i = row.lo; i <= row.hi; ++i) {
+        const double v = buffer[row.loc + i];
+        row.point(i, global);
+        if (!have ||
+            runtime::max_beats(v, global.data(), value, point, model_.dim())) {
+          have = true;
+          value = v;
+          std::copy(global.begin(), global.end(), point);
+        }
+      }
+    });
+    return have;
+  }
+
   void on_tile_executed(const IntVec& tile, const double* buffer) override {
     if (tile_hook_) tile_hook_(tile);
-    if (recorder_.track_max) {
-      // Per-tile local maximum first (no lock), then one merge.
-      bool have = false;
-      double best = 0.0;
-      IntVec best_point;
-      IntVec global(static_cast<std::size_t>(model_.dim()));
-      model_.for_each_row(params_, tile, [&](const tiling::CellRow& row) {
-        for (Int i = row.lo; i <= row.hi; ++i) {
-          double v = buffer[row.loc + i];
-          row.point(i, global);
-          if (!have || runtime::max_beats(v, global.data(), best,
-                                          best_point.data(), model_.dim())) {
-            have = true;
-            best = v;
-            best_point = global;
-          }
-        }
-      });
-      if (have) recorder_.sink.merge_max(best, best_point.data(), model_.dim());
-    }
-    if (!recorder_.record_all) {
-      recorder_.sink.record_probes(tile, buffer);
-      return;
-    }
+    if (!recorder_.record_all) return;
     std::lock_guard<std::mutex> lock(recorder_.mu);
     IntVec global(static_cast<std::size_t>(model_.dim()));
     model_.for_each_row(params_, tile, [&](const tiling::CellRow& row) {
@@ -148,7 +135,6 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
  private:
   const tiling::TilingModel& model_;
   const IntVec& params_;
-  const tiling::LoadBalancer balancer_;
   const CenterFn& center_;
   Recorder& recorder_;
   EdgeStore* edge_store_;
@@ -175,23 +161,23 @@ long long EngineResult::total(long long runtime::RunStats::* field) const {
 
 EngineResult run(const tiling::TilingModel& model, const IntVec& params,
                  const CenterFn& center, const EngineOptions& options) {
-  Recorder recorder({options.probes, model.problem().widths(),
-                     model.strides(), model.ghost_lo()});
+  Recorder recorder;
+  runtime::ResultSink<double> sink({options.probes, model.problem().widths(),
+                                    model.strides(), model.ghost_lo()});
   recorder.record_all = options.record_all;
   recorder.track_max = options.track_max;
 
   // One Ehrhart load-balance cut per attempt, over the ranks still alive.
   auto plan = [&](int alive) {
-    tiling::LoadBalancer balancer(model, params, alive, options.balance);
-    runtime::LaunchPlan<double> p;
-    for (int r = 0; r < alive; ++r)
-      p.predicted_work.push_back(static_cast<double>(balancer.owned_work(r)));
-    p.order = runtime::TileOrder(model.priority_dims(),
-                                 model.problem().dep_signs(), options.policy);
-    p.hooks = std::make_unique<ModelHooks>(
-        model, params, std::move(balancer), center, recorder,
-        options.edge_store, options.on_tile_executed, options.decision_log);
-    return p;
+    return runtime::LaunchPlan<double>{
+        .hooks = std::make_unique<ModelHooks>(
+            model, params, center, recorder, options.edge_store,
+            options.on_tile_executed, options.decision_log),
+        .owners = tiling::LoadBalancer(model, params, alive, options.balance),
+        .sink = &sink,
+        .order = runtime::TileOrder(model.priority_dims(),
+                                    model.problem().dep_signs(),
+                                    options.policy)};
   };
   runtime::LaunchLabels labels;
   labels.problem = model.problem().problem_name();
@@ -201,10 +187,10 @@ EngineResult run(const tiling::TilingModel& model, const IntVec& params,
   static_cast<runtime::LaunchResult&>(result) =
       runtime::launch<double>(plan, options, labels);
   result.values = std::move(recorder.values);
-  for (const auto& [point, value] : recorder.sink.values())
+  for (const auto& [point, value] : sink.values())
     result.values.emplace(point, value);
-  result.max_value = recorder.sink.max_value();
-  result.max_point = recorder.sink.max_point();
+  result.max_value = sink.max_value();
+  result.max_point = sink.max_point();
   return result;
 }
 

@@ -47,12 +47,12 @@ std::string Polynomial::to_string(
   if (terms_.empty()) return "0";
   std::vector<std::string> parts;
   for (const auto& [exps, coef] : terms_) {
-    std::string t = "(" + coef.to_string() + ")";
+    std::string t = cat("(", coef.to_string(), ")");
     for (int i = 0; i < nvars_; ++i) {
       int e = exps[static_cast<std::size_t>(i)];
       if (e == 0) continue;
-      t += "*" + names[static_cast<std::size_t>(i)];
-      if (e > 1) t += "^" + std::to_string(e);
+      t += cat("*", names[static_cast<std::size_t>(i)]);
+      if (e > 1) t += cat("^", e);
     }
     parts.push_back(t);
   }
@@ -70,11 +70,11 @@ std::string Polynomial::to_cpp(const std::vector<std::string>& names) const {
     std::string t = std::to_string(num) + "LL";
     for (int i = 0; i < nvars_; ++i) {
       for (int e = 0; e < exps[static_cast<std::size_t>(i)]; ++e)
-        t += "*" + names[static_cast<std::size_t>(i)];
+        t += cat("*", names[static_cast<std::size_t>(i)]);
     }
     parts.push_back(t);
   }
-  std::string numer = "(" + join(parts, " + ") + ")";
+  std::string numer = cat("(", join(parts, " + "), ")");
   if (den == 1) return numer;
   return numer + " / " + std::to_string(den) + "LL";
 }

@@ -81,8 +81,8 @@ Problem msa(const std::vector<std::string>& seqs, Int tile_width,
   Problem p;
   std::vector<std::string> vars, params;
   for (int i = 1; i <= m; ++i) {
-    vars.push_back("x" + std::to_string(i));
-    params.push_back("L" + std::to_string(i));
+    vars.push_back(cat("x", i));
+    params.push_back(cat("L", i));
   }
   p.spec.name(cat("msa", m)).params(params).vars(vars).array("V");
   for (int i = 1; i <= m; ++i) {
@@ -201,8 +201,8 @@ Problem lcs(const std::vector<std::string>& seqs, Int tile_width) {
   Problem p;
   std::vector<std::string> vars, params;
   for (int i = 1; i <= m; ++i) {
-    vars.push_back("x" + std::to_string(i));
-    params.push_back("L" + std::to_string(i));
+    vars.push_back(cat("x", i));
+    params.push_back(cat("L", i));
   }
   p.spec.name(cat("lcs", m)).params(params).vars(vars).array("V");
   for (int i = 1; i <= m; ++i) {

@@ -6,8 +6,9 @@
 namespace dpgen::runtime {
 
 template class CheckpointStore<double>;
-template RunStats run_node<double>(ProblemHooks<double>&, minimpi::Comm&,
-                                   const RunOptions&,
-                                   CheckpointStore<double>*);
+template RunStats run_node<double>(ProblemHooks<double>&, const OwnerTable&,
+                                   minimpi::Comm&, const RunOptions&,
+                                   CheckpointStore<double>*,
+                                   ResultSink<double>*);
 
 }  // namespace dpgen::runtime

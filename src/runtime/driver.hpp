@@ -16,7 +16,9 @@
 // Only tiles in execution hold full buffers; everything else is packed
 // edges.  The problem-specific pieces are supplied through ProblemHooks
 // (runtime/program.hpp): the interpreted engine implements them by walking
-// the TilingModel, and generated programs with emitted loop nests.
+// the TilingModel, and generated programs with emitted loop nests.  Tile
+// ownership comes from the attempt's OwnerTable and results go to its
+// ResultSink (runtime/run_state.hpp), which the driver consults directly.
 //
 // The steady-state loop is allocation-free: payload vectors cycle through
 // a per-worker BufferPool (unpack releases feed the very next pack
@@ -43,6 +45,7 @@
 // are merged to rank 0 through the comm layer (obs/gather.hpp), ready for
 // export.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -64,7 +67,7 @@
 #include "obs/trace.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/checkpoint.hpp"
-#include "runtime/program.hpp"
+#include "runtime/run_state.hpp"
 #include "runtime/tile_table.hpp"
 
 #if defined(_OPENMP) && defined(DPGEN_RUNTIME_USE_OPENMP)
@@ -281,15 +284,18 @@ struct DriverMetrics {
 
 }  // namespace detail
 
-/// Executes one rank's share of the problem.  Returns per-rank statistics.
-/// With a checkpoint store, completed tiles and their outgoing edges are
-/// recorded as the run progresses, previously-executed work is credited
-/// instead of re-run, and stored edges seed the fresh tile table (restart
-/// protocol in checkpoint.hpp).
+/// Executes one rank's share of the problem: the tiles `owners` gives
+/// `comm.rank()`.  Returns per-rank statistics.  With a sink, every
+/// executed tile's probes and maximum (ProblemHooks::tile_max) are
+/// recorded into it.  With a checkpoint store, completed tiles and their
+/// outgoing edges are recorded as the run progresses, previously-executed
+/// work is credited instead of re-run, and stored edges seed the fresh
+/// tile table (restart protocol in checkpoint.hpp).
 template <typename S>
-RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
-                  const RunOptions& opt,
-                  CheckpointStore<S>* checkpoint = nullptr) {
+RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
+                  minimpi::Comm& comm, const RunOptions& opt,
+                  CheckpointStore<S>* checkpoint = nullptr,
+                  ResultSink<S>* sink = nullptr) {
   using Clock = std::chrono::steady_clock;
   const auto t_start = Clock::now();
   const int rank = comm.rank();
@@ -320,8 +326,10 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
     const auto t0 = Clock::now();
     std::vector<IntVec> initial;
     hooks.initial_tiles(initial);
+    std::sort(initial.begin(), initial.end());
+    initial.erase(std::unique(initial.begin(), initial.end()), initial.end());
     for (auto& t : initial) {
-      if (hooks.owner(t) != rank) continue;
+      if (owners.owner(t) != rank) continue;
       // Tiles the checkpoint already has results for are credited below
       // instead of re-run.
       if (ckpt_replay && checkpoint->executed(t)) continue;
@@ -332,14 +340,14 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         std::chrono::duration<double>(Clock::now() - t0).count();
   }
 
-  const Int owned = hooks.owned_tiles(rank);
+  const Int owned = owners.owned_tiles(rank);
   std::atomic<long long> done{0};
   if (checkpoint) {
     // Restart seeding: credit executed owned tiles and replay stored
     // edges for this rank's not-yet-executed consumers into the fresh
     // table.  Non-executed producers re-execute and re-send live.
     done.store(checkpoint->seed_rank(
-        rank, [&](const IntVec& t) { return hooks.owner(t); },
+        rank, [&](const IntVec& t) { return owners.owner(t); },
         [&](const IntVec& t) { return hooks.dep_count(t); }, table));
     checkpoint->attach_table(rank, &table);
   }
@@ -439,6 +447,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
     IntVec consumer(static_cast<std::size_t>(dim));
     IntVec producer(static_cast<std::size_t>(dim));
     IntVec poll_consumer;
+    IntVec max_point(static_cast<std::size_t>(dim));
     // Outgoing edges of the tile in flight, captured for the checkpoint
     // (recorded atomically with the executed mark in tile_complete).
     std::vector<CheckpointEdge<S>> ckpt_edges;
@@ -713,6 +722,13 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         metrics.tile_ns.observe(exec_ns);
       }
       hooks.on_tile_executed(ready->tile, buffer.data());
+      if (sink) {
+        sink->record_probes(ready->tile, buffer.data());
+        S max_value{};
+        if (hooks.tile_max(ready->tile, buffer.data(), max_value,
+                           max_point.data()))
+          sink->merge_max(max_value, max_point.data(), dim);
+      }
       ++local.tiles_executed;
 
       // 4. pack and route each valid outgoing edge
@@ -728,7 +744,7 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
         // recorded results; sending it again would at best be dropped at
         // the receiver and at worst re-execute the consumer.
         if (ckpt_replay && checkpoint->executed(consumer)) continue;
-        const int dst = hooks.owner(consumer);
+        const int dst = owners.owner(consumer);
         if (dst == rank) {
           // Local edge: pack into a pooled payload vector and move it
           // into the table — no copies anywhere on the path.
@@ -949,7 +965,9 @@ RunStats run_node(ProblemHooks<S>& hooks, minimpi::Comm& comm,
 
 // Compiled once in dpgen_runtime (driver.cpp).
 extern template RunStats run_node<double>(ProblemHooks<double>&,
-                                          minimpi::Comm&, const RunOptions&,
-                                          CheckpointStore<double>*);
+                                          const OwnerTable&, minimpi::Comm&,
+                                          const RunOptions&,
+                                          CheckpointStore<double>*,
+                                          ResultSink<double>*);
 
 }  // namespace dpgen::runtime

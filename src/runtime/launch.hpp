@@ -24,6 +24,7 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/driver.hpp"
 #include "runtime/order.hpp"
+#include "runtime/run_state.hpp"
 #include "support/str.hpp"
 
 namespace dpgen::runtime {
@@ -105,10 +106,12 @@ struct LaunchLabels {
 template <typename S>
 struct LaunchPlan {
   std::unique_ptr<ProblemHooks<S>> hooks;  ///< shared by every rank
+  /// The load-balance cut over the attempt's ranks.  Its per-rank work is
+  /// the Ehrhart prediction: the monitor's pace baseline, the report's
+  /// load-balance audit and the profile's predicted cells.
+  OwnerTable owners;
+  ResultSink<S>* sink = nullptr;  ///< probes and maximum (not owned)
   TileOrder order;
-  /// Ehrhart-predicted work per rank: the monitor's pace baseline, the
-  /// report's load-balance audit and the profile's predicted cells.
-  std::vector<double> predicted_work;
 };
 
 struct LaunchResult {
@@ -190,35 +193,37 @@ LaunchResult launch(const PlanFn& plan, const LaunchOptions& options,
                     const LaunchLabels& labels) {
   CheckpointStore<S> store;
   CheckpointStore<S>* checkpoint = nullptr;
-  std::unique_ptr<ProblemHooks<S>> hooks;
+  LaunchPlan<S> p;  // the current attempt's
   return detail::launch(
       [&](int alive) {
-        LaunchPlan<S> p = plan(alive);
-        hooks = std::move(p.hooks);
+        p = plan(alive);
         if (!checkpoint && (options.fault_tolerant || options.fault_plan)) {
           checkpoint = &store;
           store.set_meta(labels.problem, vec_to_string(labels.params),
-                         hooks->dim());
+                         p.hooks->dim());
           if (!options.resume_checkpoint_path.empty()) {
             const CheckpointDoc doc =
                 load_checkpoint_json(options.resume_checkpoint_path);
-            check_resume(doc, *hooks);
+            check_resume(doc, *p.hooks);
             store.restore_from(doc);
           }
           if (!options.checkpoint_json_path.empty())
             store.configure_flush(options.checkpoint_json_path,
                                   options.checkpoint_every_tiles);
         }
-        detail::Attempt a{std::move(p.order), std::move(p.predicted_work),
-                          {}, {}};
-        for (int e = 0; e < hooks->num_edges(); ++e)
-          a.edge_offsets.push_back(hooks->edge_offset(e));
+        detail::Attempt a{std::move(p.order), {}, {}, {}};
+        for (int r = 0; r < p.owners.nranks(); ++r)
+          a.predicted_work.push_back(
+              static_cast<double>(p.owners.owned_work(r)));
+        for (int e = 0; e < p.hooks->num_edges(); ++e)
+          a.edge_offsets.push_back(p.hooks->edge_offset(e));
         a.run = [&](minimpi::World& world, const RunOptions& ropt) {
           std::vector<RunStats> stats(static_cast<std::size_t>(world.size()));
           try {
             world.run([&](minimpi::Comm& comm) {
               stats[static_cast<std::size_t>(comm.rank())] =
-                  run_node<S>(*hooks, comm, ropt, checkpoint);
+                  run_node<S>(*p.hooks, p.owners, comm, ropt, checkpoint,
+                              p.sink);
             });
           } catch (const minimpi::TransportFailure&) {
             // The next attempt may re-execute credited tiles, so its drivers

@@ -1,7 +1,8 @@
-// The compiled half of runtime/program.hpp: the OwnerTable, and the one
-// copy of ResultSink<double> and run_program<double> every
-// double-precision generated program links.
-#include "runtime/program.hpp"
+// The compiled half of runtime/program.hpp and runtime/run_state.hpp: the
+// OwnerTable, and the one copy of ResultSink<double> and
+// run_program<double> that the engine and every double-precision
+// generated program link.
+#include "runtime/run_state.hpp"
 
 #include <algorithm>
 #include <numeric>
@@ -15,6 +16,7 @@ namespace dpgen::runtime {
 OwnerTable::OwnerTable(std::vector<int> lb_dims)
     : lb_dims_(std::move(lb_dims)) {}
 OwnerTable::OwnerTable(OwnerTable&&) noexcept = default;
+OwnerTable& OwnerTable::operator=(OwnerTable&&) noexcept = default;
 OwnerTable::~OwnerTable() = default;
 
 void OwnerTable::add_cell(const Int* lb, Int work, Int tiles) {

@@ -1,19 +1,23 @@
 #pragma once
-// The templates of runtime/program.hpp: run_program<S>, the generated
-// program's main, and ResultSink<S>.  A double-precision program links the
-// copies compiled into dpgen_runtime; a program of another scalar type
-// includes this header, which instantiates them and, through launch.hpp,
-// the driver.
+// The templates of runtime/program.hpp and runtime/run_state.hpp:
+// run_program<S>, the generated program's main, and ResultSink<S>.  A
+// double-precision program links the copies compiled into dpgen_runtime;
+// a program of another scalar type includes this header, which
+// instantiates them and, through launch.hpp, the driver.
 
 #include <cstdio>
 
 #include "runtime/launch.hpp"
 #include "runtime/program.hpp"
+#include "runtime/run_state.hpp"
 
 namespace dpgen::runtime {
 
 template <typename S>
 ResultSink<S>::ResultSink(ProbeLayout layout) : layout_(std::move(layout)) {}
+
+template <typename S>
+ResultSink<S>::~ResultSink() = default;
 
 template <typename S>
 void ResultSink<S>::record_probes(const IntVec& tile, const S* buffer) {
@@ -59,7 +63,7 @@ int run_program(const ProgramInfo<S>& info, int argc, char** argv) {
   const int nparams = static_cast<int>(info.params.size());
   if (argc < 1 + nparams) {
     std::string positional;
-    for (const std::string& name : info.params) positional += " <" + name + ">";
+    for (const char* name : info.params) positional += cat(" <", name, ">");
     std::fprintf(stderr, "usage: %s%s %s%s\n", argv[0], positional.c_str(),
                  LaunchOptions::usage().c_str(),
                  info.loop_passes ? " [--passes=none|full]" : "");
@@ -74,7 +78,7 @@ int run_program(const ProgramInfo<S>& info, int argc, char** argv) {
                         .problem = info.name,
                         .params = IntVec(params.begin(), params.end()),
                         .profile_problem = {},
-                        .passes = info.passes};
+                        .passes = {info.passes.begin(), info.passes.end()}};
     bool loop_passes = true;
     for (int i = 1 + nparams; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -105,15 +109,14 @@ int run_program(const ProgramInfo<S>& info, int argc, char** argv) {
         [&](int alive) {
           if (!scanned) info.scan_cells(params.data(), cells);
           scanned = true;
-          OwnerTable owners = cells;
-          owners.cut(alive);
-          LaunchPlan<S> plan;
-          for (int r = 0; r < alive; ++r)
-            plan.predicted_work.push_back(
-                static_cast<double>(owners.owned_work(r)));
-          plan.order =
-              TileOrder(info.priority_dims, info.dep_signs, options.policy);
-          plan.hooks = info.make_hooks(params.data(), std::move(owners), sink);
+          LaunchPlan<S> plan{
+              .hooks = std::unique_ptr<ProblemHooks<S>>(
+                  info.make_hooks(params.data())),
+              .owners = cells,
+              .sink = &sink,
+              .order = TileOrder(info.priority_dims, info.dep_signs,
+                                 options.policy)};
+          plan.owners.cut(alive);
           return plan;
         },
         options, labels);

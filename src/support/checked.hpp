@@ -6,15 +6,12 @@
 // quickly.  Rather than silently wrapping, every operation here throws
 // dpgen::Error on overflow so that a mis-scaled problem fails loudly.
 
-#include <cstdint>
 #include <numeric>
 
 #include "support/error.hpp"
+#include "support/int.hpp"
 
 namespace dpgen {
-
-/// The integer type used throughout the exact-arithmetic layers.
-using Int = std::int64_t;
 
 /// Returns a + b, throwing on signed overflow.
 inline Int add_ck(Int a, Int b) {

@@ -8,11 +8,9 @@
 #include <vector>
 
 #include "support/checked.hpp"
+#include "support/int.hpp"
 
 namespace dpgen {
-
-/// A point / offset / coefficient row in Z^d.
-using IntVec = std::vector<Int>;
 
 /// Component-wise sum; both vectors must have the same length.
 inline IntVec vec_add(const IntVec& a, const IntVec& b) {

@@ -11,7 +11,7 @@
 // spaces.  The cut and the owner lookup are runtime::OwnerTable's, the
 // same ones a generated program runs.
 
-#include "runtime/program.hpp"
+#include "runtime/run_state.hpp"
 #include "tiling/model.hpp"
 
 namespace dpgen::tiling {

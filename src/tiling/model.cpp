@@ -353,7 +353,7 @@ TilingModel::TilingModel(spec::ProblemSpec problem) : spec_(std::move(problem)) 
 
   // ---- counters ----------------------------------------------------------------------
   {
-    std::vector<int> ti_order, t_order, i_order, nonlb_i_order, nonlb_order;
+    std::vector<int> ti_order, t_order, i_order, nonlb_order;
     for (int k = 0; k < d_; ++k) t_order.push_back(ext_tile(k));
     for (int k = 0; k < d_; ++k) i_order.push_back(ext_local(k));
     ti_order = t_order;
@@ -361,16 +361,13 @@ TilingModel::TilingModel(spec::ProblemSpec problem) : spec_(std::move(problem)) 
     for (int k = 0; k < d_; ++k)
       if (std::find(lb_dims_.begin(), lb_dims_.end(), k) == lb_dims_.end())
         nonlb_order.push_back(ext_tile(k));
-    nonlb_i_order = nonlb_order;
-    for (int v : i_order) nonlb_i_order.push_back(v);
 
     cells_counter_ = std::make_unique<poly::LatticeCounter>(extended_, ti_order);
     tiles_counter_ =
         std::make_unique<poly::LatticeCounter>(tile_space_, t_order);
     tile_cells_counter_ =
         std::make_unique<poly::LatticeCounter>(extended_, i_order);
-    lb_cells_counter_ =
-        std::make_unique<poly::LatticeCounter>(extended_, nonlb_i_order);
+    lb_tile_nest_ = poly::LoopNest::build(tile_space_, nonlb_order);
     lb_tiles_counter_ =
         std::make_unique<poly::LatticeCounter>(tile_space_, nonlb_order);
   }
@@ -657,7 +654,18 @@ Int TilingModel::cell_count_lb(const IntVec& params,
   IntVec seed = ext_seed(params);
   for (std::size_t i = 0; i < lb_dims_.size(); ++i)
     seed[static_cast<std::size_t>(ext_tile(lb_dims_[i]))] = lb_values[i];
-  return lb_cells_counter_->count(seed);
+  Int full = 1;
+  for (Int w : spec_.widths()) full = mul_ck(full, w);
+  Int total = 0;
+  IntVec tile(static_cast<std::size_t>(d_));
+  poly::for_each_point(lb_tile_nest_, seed, [&](const IntVec& pt) {
+    for (int k = 0; k < d_; ++k)
+      tile[static_cast<std::size_t>(k)] =
+          pt[static_cast<std::size_t>(ext_tile(k))];
+    total = add_ck(total, tile_full(params, tile) ? full
+                                                  : cell_count(params, tile));
+  });
+  return total;
 }
 
 Int TilingModel::tile_count_lb(const IntVec& params,

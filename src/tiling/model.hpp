@@ -276,7 +276,9 @@ class TilingModel {
   CellCountFn cell_count_fn(const IntVec& params) const;
 
   /// Work of all tiles whose load-balanced indices match `lb_values`
-  /// (the paper's second Ehrhart polynomial, evaluated exactly).
+  /// (the paper's second Ehrhart polynomial, evaluated exactly): a scan of
+  /// the cell's tiles that counts a full tile as prod_k w_k and a partial
+  /// one with cell_count().
   Int cell_count_lb(const IntVec& params, const IntVec& lb_values) const;
 
   /// Tile count with load-balanced indices fixed (used for per-rank
@@ -474,12 +476,12 @@ class TilingModel {
 
   std::vector<int> lb_dims_;
   poly::LoopNest lb_nest_;
+  poly::LoopNest lb_tile_nest_;  // scan the non-lb t of one lb cell
 
   // Counters (constructed lazily would complicate const-ness; build once).
   std::unique_ptr<poly::LatticeCounter> cells_counter_;     // all cells
   std::unique_ptr<poly::LatticeCounter> tiles_counter_;     // all tiles
   std::unique_ptr<poly::LatticeCounter> tile_cells_counter_;  // cells of one tile
-  std::unique_ptr<poly::LatticeCounter> lb_cells_counter_;  // cells per lb cell
   std::unique_ptr<poly::LatticeCounter> lb_tiles_counter_;  // tiles per lb cell
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -453,8 +454,9 @@ TEST(EndToEnd, GeneratedFloatScalarProgram) {
 
 /// Defined symbols of `nm_args` (an object file, or an archive with -A)
 /// on lines containing `line_filter` that belong to the double-precision
-/// driver or to the compiled half of runtime/program.hpp, one per line.  Fails the calling test when nm fails or no line
-/// passes the filter.
+/// driver or to the compiled half of runtime/program.hpp and
+/// runtime/run_state.hpp, one per line.  Fails the calling test when nm
+/// fails or no line passes the filter.
 std::string driver_symbols(const std::string& nm_args,
                            const std::string& line_filter = "") {
   auto [status, out] = run_command(
@@ -488,8 +490,8 @@ TEST(DriverInstantiation, DoubleProgramAndEngineCarryNoDriverCode) {
   // ResultSink<double> and OwnerTable are compiled once, into
   // dpgen_runtime.  A generated double program and the engine must only
   // reference them: a definition here means an extern template in
-  // driver.hpp, checkpoint.hpp or program.hpp stopped applying and every
-  // program compiles that code again.
+  // driver.hpp, checkpoint.hpp, program.hpp or run_state.hpp stopped
+  // applying and every program compiles that code again.
   if (std::string(DPGEN_NM).empty()) GTEST_SKIP() << "no nm configured";
   problems::Problem p = problems::bandit2(4);
   tiling::TilingModel model(p.spec);
@@ -518,16 +520,19 @@ TEST(DriverInstantiation, DoubleProgramAndEngineCarryNoDriverCode) {
 
 TEST(DriverInstantiation, DoubleProgramIncludesOnlyTheProgramHeader) {
   // A double program compiles its geometry against runtime/program.hpp
-  // alone: nothing of the launcher, the driver, the observability layer or
-  // the message-passing layer is in its include closure.
+  // alone: nothing of the launcher, the driver, the run state, the
+  // observability layer or the message-passing layer is in its include
+  // closure, and of the standard library only <cstdint>, <cstring>,
+  // <vector> and their internals.
   problems::Problem p = problems::bandit2(8);
   tiling::TilingModel model(p.spec);
   GenOptions gen;
   gen.passes = PassPipeline::parse("full");
+  gen.track_max = true;
   const std::string src = testing::TempDir() + "/dpgen_closure_gen.cpp";
   write_program(model, src, gen);
   auto [status, deps] =
-      run_command(cat(codegen_test::compiler_command("-O1"), " -MM ", src));
+      run_command(cat(codegen_test::compiler_command("-O1"), " -M ", src));
   ASSERT_EQ(status, 0) << deps;
   const std::string root = DPGEN_SRC_DIR;
   EXPECT_NE(deps.find(root + "/runtime/program.hpp"), std::string::npos)
@@ -535,9 +540,51 @@ TEST(DriverInstantiation, DoubleProgramIncludesOnlyTheProgramHeader) {
   for (const std::string& banned :
        {root + "/obs/", root + "/minimpi/", root + "/runtime/driver.hpp",
         root + "/runtime/launch.hpp", root + "/runtime/checkpoint.hpp",
-        root + "/runtime/tile_table.hpp"})
+        root + "/runtime/tile_table.hpp", root + "/runtime/run_state.hpp",
+        root + "/support/vec.hpp", root + "/support/checked.hpp"})
     EXPECT_EQ(deps.find(banned), std::string::npos) << banned << " in\n"
                                                     << deps;
+  std::istringstream in(deps);
+  int listed = 0;
+  for (std::string dep; in >> dep;) {
+    ++listed;
+    for (const std::string header : {"/map", "/set", "/mutex", "/memory",
+                                     "/string", "/functional", "/stdexcept"})
+      EXPECT_FALSE(dep.size() >= header.size() &&
+                   dep.compare(dep.size() - header.size(), header.size(),
+                               header) == 0)
+          << dep << " in the closure of a double program";
+  }
+  EXPECT_GT(listed, 3) << deps;
+}
+
+TEST(EndToEnd, GlobalCodeIncludesTheHeadersItUses) {
+  // The program provides only <cstdint>, <cstring> and <vector>: user
+  // global code that calls std::sqrt includes <cmath> itself.
+  spec::ProblemSpec s;
+  s.name("roots")
+      .params({"N"})
+      .vars({"x"})
+      .constraint("x >= 0")
+      .constraint("x <= N")
+      .dep("r1", {1})
+      .load_balance({"x"})
+      .tile_widths({4})
+      .global_code("#include <cmath>\n"
+                   "static double root_of_next(double v) {\n"
+                   "  return std::sqrt(v + 1.0);\n"
+                   "}\n")
+      .center_code("V[loc] = is_valid_r1 ? root_of_next(V[loc_r1]) : 0.0;");
+  tiling::TilingModel model(std::move(s));
+  const std::string src_path = testing::TempDir() + "/dpgen_roots_gen.cpp";
+  write_program(model, src_path);
+  auto prog = compile_program(src_path, "roots");
+  ASSERT_TRUE(prog.ok) << prog.log;
+  auto [status, out] = run_command(cat(prog.binary, " 30 --ranks=2"));
+  ASSERT_EQ(status, 0) << out;
+  double f = 0.0;  // f(30)
+  for (int x = 29; x >= 0; --x) f = std::sqrt(f + 1.0);
+  EXPECT_DOUBLE_EQ(parse_result(out, {0}), f) << out;
 }
 
 TEST(EndToEnd, GeneratedNegativeDepProgram) {
@@ -829,15 +876,19 @@ void expect_owner_table_holds(const tiling::TilingModel& model,
   auto doc = read_json(report);
   const auto& ranks = doc->at("load_balance").at("ranks").as_array();
   ASSERT_EQ(ranks.size(), 3u);
+  tiling::LoadBalancer balancer(model, params, 3);
   long long sum = 0;
   for (const auto& r : ranks) {
-    EXPECT_GT(r->at("tiles").as_number(), 0) << "rank "
-                                             << r->at("rank").as_number();
+    const int rank = static_cast<int>(r->at("rank").as_number());
+    EXPECT_GT(r->at("tiles").as_number(), 0) << "rank " << rank;
+    // The emitted lb-cell counts cut the same work as the model's.
+    EXPECT_EQ(r->at("predicted_work").as_number(),
+              static_cast<double>(balancer.owned_work(rank)))
+        << "rank " << rank;
     sum += static_cast<long long>(r->at("tiles").as_number());
   }
   EXPECT_EQ(sum, tiles);
 
-  tiling::LoadBalancer balancer(model, params, 3);
   long long checked = 0;
   auto trace_doc = read_json(trace);
   for (const auto& ev : trace_doc->at("traceEvents").as_array()) {

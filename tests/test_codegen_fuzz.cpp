@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <sstream>
 
@@ -15,6 +16,7 @@
 #include "codegen_util.hpp"
 #include "engine/serial.hpp"
 #include "fuzz_util.hpp"
+#include "poly/count.hpp"
 
 namespace dpgen::codegen {
 namespace {
@@ -89,6 +91,41 @@ TEST_P(CodegenFuzz, GeneratedProgramMatchesSerialReference) {
       run_command(cat(pass_prog.binary, " ", N, " --ranks=2 --threads=2"));
   ASSERT_EQ(pstatus, 0) << pout;
   EXPECT_EQ(result_lines(pout), result_lines(out));
+}
+
+TEST_P(CodegenFuzz, LbCellWorkMatchesLatticeCounting) {
+  // cell_count_lb counts a full tile as prod w and a partial one by
+  // cell_count; every lb cell must hold exactly the lattice points of the
+  // extended system with its lb tile indices fixed.
+  fuzz::Rng rng(static_cast<std::uint64_t>(GetParam()) * 977);
+  int ndeps = 0;
+  spec::ProblemSpec s = fuzz::random_spec(rng, &ndeps);
+  SCOPED_TRACE(s.to_text());
+  tiling::TilingModel model(std::move(s));
+  std::vector<int> order;
+  for (int k = 0; k < model.dim(); ++k)
+    if (std::find(model.lb_dims().begin(), model.lb_dims().end(), k) ==
+        model.lb_dims().end())
+      order.push_back(model.ext_tile(k));
+  for (int k = 0; k < model.dim(); ++k) order.push_back(model.ext_local(k));
+  const poly::LatticeCounter lattice(model.extended(), order);
+  for (const Int n : {Int{3}, Int{6}, Int{9}}) {
+    Int cells = 0, total = 0;
+    model.for_each_lb_cell({n}, [&](const IntVec& lb) {
+      IntVec seed(model.ext_vars().size(), 0);
+      seed[static_cast<std::size_t>(model.ext_param(0))] = n;
+      for (std::size_t i = 0; i < lb.size(); ++i)
+        seed[static_cast<std::size_t>(model.ext_tile(model.lb_dims()[i]))] =
+            lb[i];
+      const Int work = model.cell_count_lb({n}, lb);
+      EXPECT_EQ(work, lattice.count(seed)) << "N=" << n << " lb "
+                                           << vec_to_string(lb);
+      total += work;
+      ++cells;
+    });
+    EXPECT_GT(cells, 0) << "N=" << n;
+    EXPECT_EQ(total, model.total_cells({n})) << "N=" << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodegenFuzz, ::testing::Values(101, 202, 303));

@@ -291,8 +291,6 @@ class BrokenDepCountHooks final : public runtime::ProblemHooks<double> {
   void initial_tiles(std::vector<IntVec>& out) const override {
     out.push_back({1});
   }
-  int owner(const IntVec&) const override { return 0; }
-  Int owned_tiles(int) const override { return 2; }
   void execute_tile(const IntVec&, double*) override {}
   Int edge_capacity(int) const override { return 0; }
   Int pack(int, const IntVec&, const double*, double*) const override {
@@ -305,6 +303,14 @@ class BrokenDepCountHooks final : public runtime::ProblemHooks<double> {
   IntVec offset_{1};
 };
 
+/// One rank owning every one of `tiles` tiles (no lb dimensions).
+runtime::OwnerTable one_rank(Int tiles) {
+  runtime::OwnerTable owners;
+  owners.add_cell(nullptr, tiles, tiles);
+  owners.cut(1);
+  return owners;
+}
+
 TEST(EngineFailureInjection, StallTimeoutFires) {
   minimpi::World world(1);
   BrokenDepCountHooks hooks;
@@ -315,7 +321,7 @@ TEST(EngineFailureInjection, StallTimeoutFires) {
   // edge delivered to tile {0}, which then waits forever for the 4
   // dependencies that do not exist.
   try {
-    runtime::run_node<double>(hooks, world.comm(0), opt);
+    runtime::run_node<double>(hooks, one_rank(2), world.comm(0), opt);
     FAIL() << "expected the stall timeout to fire";
   } catch (const Error& e) {
     const std::string msg = e.what();
@@ -365,7 +371,9 @@ TEST(EngineMonitor, StallWarningFiresAtHalfTheTimeout) {
       runtime::TileOrder({0}, {1}, runtime::PriorityPolicy::kColumnMajor);
   opt.stall_timeout_seconds = 0.4;
   opt.monitor = &monitor;
-  EXPECT_THROW(runtime::run_node<double>(hooks, world.comm(0), opt), Error);
+  EXPECT_THROW(
+      runtime::run_node<double>(hooks, one_rank(2), world.comm(0), opt),
+      Error);
   EXPECT_GE(monitor.stall_warnings(), 1);
 }
 

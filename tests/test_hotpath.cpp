@@ -148,10 +148,11 @@ void expect_coalesced_equivalence(const tiling::TilingModel& model,
           << "edge " << e << " tile " << vec_to_string(tile);
       // An empty slab leaves both data() pointers null, which memcmp
       // must not be given even for a zero length.
-      if (!ref.empty())
+      if (!ref.empty()) {
         ASSERT_EQ(0, std::memcmp(out.data(), ref.data(),
                                  ref.size() * sizeof(double)))
             << "edge " << e << " tile " << vec_to_string(tile);
+      }
 
       // Per-cell reference unpack (scatter at local + per-edge shift)...
       const Int shift = model.edge_unpack_shift(e);
@@ -350,8 +351,6 @@ class GridHooks final : public runtime::ProblemHooks<double> {
   void initial_tiles(std::vector<IntVec>& out) const override {
     out.push_back({n_ - 1, n_ - 1});
   }
-  int owner(const IntVec&) const override { return 0; }
-  Int owned_tiles(int) const override { return n_ * n_; }
   void execute_tile(const IntVec&, double* buffer) override {
     buffer[0] += 1.0;
   }
@@ -379,6 +378,9 @@ struct AllocRun {
 
 AllocRun run_grid_and_count(Int n) {
   GridHooks hooks(n);
+  runtime::OwnerTable owners;
+  owners.add_cell(nullptr, n * n, n * n);
+  owners.cut(1);
   runtime::RunOptions opt;
   opt.order =
       runtime::TileOrder({0, 1}, {1, 1}, runtime::PriorityPolicy::kColumnMajor);
@@ -386,7 +388,7 @@ AllocRun run_grid_and_count(Int n) {
   AllocRun out;
   const long long a0 = g_heap_allocs.load();
   runtime::RunStats stats =
-      runtime::run_node<double>(hooks, world.comm(0), opt);
+      runtime::run_node<double>(hooks, owners, world.comm(0), opt);
   out.allocs = g_heap_allocs.load() - a0;
   out.edges = stats.local_edges + stats.remote_edges;
   const long long pool_total = stats.pool_hits + stats.edge_allocs;

@@ -205,9 +205,10 @@ TEST(MsgTrace, PerfettoFlowEventsPairAcrossRanks) {
     const std::string id = ev->at("id").as_string();
     if (ph == "s") ++starts[id];
     else ++finishes[id];
-    if (ph == "f")
+    if (ph == "f") {
       EXPECT_EQ(ev->at("bp").as_string(), "e")
           << "flow finish must bind to the enclosing slice";
+    }
   }
   ASSERT_FALSE(starts.empty()) << "a 2-rank run must emit flow events";
   EXPECT_EQ(starts.size(), finishes.size());

@@ -61,7 +61,9 @@ TEST(TileOrderCmp, StrictWeakOrderingOnGrid) {
     for (const auto& x : tiles)
       for (const auto& y : tiles) {
         EXPECT_FALSE(o.earlier(x, y) && o.earlier(y, x));
-        if (x != y) EXPECT_TRUE(o.earlier(x, y) || o.earlier(y, x));
+        if (x != y) {
+          EXPECT_TRUE(o.earlier(x, y) || o.earlier(y, x));
+        }
       }
   }
 }

@@ -11,7 +11,7 @@
 #include <set>
 
 #include "problems/problems.hpp"
-#include "runtime/program.hpp"
+#include "runtime/run_state.hpp"
 #include "tiling/balance.hpp"
 #include "tiling/model.hpp"
 

@@ -143,7 +143,9 @@ TEST_P(TilingInvariants, FullTilesAreExactlyTheFullBoxes) {
       full += is_full;
     });
     // Width 1 makes every tile one full cell.
-    if (GetParam() == 1) EXPECT_GT(full, 0) << w.name;
+    if (GetParam() == 1) {
+      EXPECT_GT(full, 0) << w.name;
+    }
   }
 }
 
@@ -161,10 +163,11 @@ TEST_P(TilingInvariants, WholeBoxChecksMatchBruteForce) {
       const bool hold = m.tile_checks_hold(w.params, t);
       // The box test is exact on a full tile (its cells are the box) and
       // never claims more than the cells show on a partial one.
-      if (m.tile_full(w.params, t))
+      if (m.tile_full(w.params, t)) {
         EXPECT_EQ(hold, all_valid) << w.name << " tile " << vec_to_string(t);
-      else if (hold)
+      } else if (hold) {
         EXPECT_TRUE(all_valid) << w.name << " tile " << vec_to_string(t);
+      }
     });
   }
 }
