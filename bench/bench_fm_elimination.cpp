@@ -6,6 +6,7 @@
 
 #include "poly/fm.hpp"
 #include "poly/parse.hpp"
+#include "support/str.hpp"
 
 namespace {
 
@@ -17,20 +18,17 @@ using poly::Vars;
 System simplex_system(int d) {
   Vars v;
   v.add("N");
-  for (int i = 0; i < d; ++i) v.add("x" + std::to_string(i));
+  for (int i = 0; i < d; ++i) v.add(cat("x", i));
   System s(v);
   std::string sum;
   for (int i = 0; i < d; ++i) {
-    s.add(poly::parse_constraint("x" + std::to_string(i) + " >= 0", v));
-    sum += (i ? " + x" : "x") + std::to_string(i);
+    s.add(poly::parse_constraint(cat("x", i, " >= 0"), v));
+    sum += cat(i ? " + x" : "x", i);
   }
   s.add(poly::parse_constraint(sum + " <= N", v));
   // Extra pairwise couplings to make elimination non-trivial.
   for (int i = 0; i + 1 < d; ++i)
-    s.add(poly::parse_constraint(
-        "x" + std::to_string(i) + " + 2*x" + std::to_string(i + 1) +
-            " <= 2*N",
-        v));
+    s.add(poly::parse_constraint(cat("x", i, " + 2*x", i + 1, " <= 2*N"), v));
   return s;
 }
 

@@ -41,9 +41,11 @@ HotpathRow run_once(const tiling::TilingModel& model, Int n, int ranks,
   engine::EngineOptions opt;
   opt.ranks = ranks;
   opt.threads = 1;
-  if (monitored) opt.monitor_path = "-";  // live telemetry, no event log
-  if (profiled) opt.profile_path = "-";   // sampling profiler, no document
-  if (msgtraced) opt.msgtrace_json_path = "-";  // collect records, no doc
+  // "-": the channel runs but writes no document.
+  const std::string on = "-";
+  if (monitored) opt.monitor_path = on;  // live telemetry, no event log
+  if (profiled) opt.profile_path = on;   // sampling profiler
+  if (msgtraced) opt.msgtrace_json_path = on;  // collect records
   auto r = engine::run(model, {n}, [](const engine::Cell& c) {
     c.V[c.loc] = 1.0;
     for (int j = 0; j < 2; ++j)

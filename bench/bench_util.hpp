@@ -20,6 +20,7 @@
 #include "problems/problems.hpp"
 #include "sim/cluster_sim.hpp"
 #include "spec/problem_spec.hpp"
+#include "support/str.hpp"
 #include "tiling/model.hpp"
 
 namespace dpgen::benchutil {
@@ -46,9 +47,9 @@ inline spec::ProblemSpec grid_spec(Int width) {
 inline spec::ProblemSpec simplex_spec(int d, Int width,
                                       int lb_dims = 2) {
   spec::ProblemSpec s;
-  s.name("simplex" + std::to_string(d)).params({"N"});
+  s.name(cat("simplex", d)).params({"N"});
   std::vector<std::string> vars;
-  for (int i = 0; i < d; ++i) vars.push_back("x" + std::to_string(i + 1));
+  for (int i = 0; i < d; ++i) vars.push_back(cat("x", i + 1));
   s.vars(vars);
   std::string sum;
   for (int i = 0; i < d; ++i) {
@@ -59,7 +60,7 @@ inline spec::ProblemSpec simplex_spec(int d, Int width,
   for (int i = 0; i < d; ++i) {
     IntVec r(static_cast<std::size_t>(d), 0);
     r[static_cast<std::size_t>(i)] = 1;
-    s.dep("r" + std::to_string(i + 1), r);
+    s.dep(cat("r", i + 1), r);
   }
   std::vector<std::string> lb(vars.begin(),
                               vars.begin() + std::min(lb_dims, d));

@@ -11,9 +11,9 @@
 #     tiling, codegen passes),
 #   * a -DDPGEN_TRACE=0 build proving the tracing macro path compiles
 #     and the suite still passes with every span compiled out,
-#   * a Release (-O3 -DNDEBUG) build: the DriverInstantiation, EndToEnd
-#     and Codegen tests, and a bench smoke, the HOTPATH table
-#     (dpgen-bench --table=HOTPATH),
+#   * a Release (-O3 -DNDEBUG) build of the whole tree with -Werror: the
+#     DriverInstantiation, EndToEnd and Codegen tests, and a bench smoke,
+#     the HOTPATH table (dpgen-bench --table=HOTPATH),
 #   * the continuous-benchmarking gate: dpgen-bench runs a quick subset,
 #     validates the emitted dpgen.bench.v1 document, archives the run,
 #     gates it against the per-machine auto-baseline (established on the
@@ -337,9 +337,11 @@ if [[ "${1:-}" != "--quick" ]]; then
   # once landed in engine.cpp.o at -O3 only): the symbol, include-closure
   # and generated-program tests run on this tree too.  The deliver/pop
   # cycle on its own is hotpath/table_deliver_pop, gated in the next leg.
-  cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release --target dpgen-bench test_codegen \
-    test_codegen_fuzz test_codegen_passes
+  # The whole tree builds warning-free here (-Werror), tests and benches
+  # included.
+  cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror
+  cmake --build build-release
   ctest --test-dir build-release --output-on-failure \
     -R '^(DriverInstantiation\.|EndToEnd\.|Families/EndToEnd|Codegen|Seeds/Codegen)'
   build-release/tools/dpgen-bench --table=HOTPATH

@@ -177,7 +177,7 @@ static inline long long dp_max(long long a, long long b) { return a > b ? a : b;
     {
       std::vector<std::string> rows;
       for (const auto& e : m_.edges()) rows.push_back(array_literal(e.offset));
-      w_.line(cat("static const long long kEdgeOffsets[kEdges][kDim] = {",
+      w_.line(cat("static const dpgen::Int kEdgeOffsets[kEdges][kDim] = {",
                   join(rows, ", "), "};"));
     }
     {
@@ -285,7 +285,7 @@ static inline long long dp_max(long long a, long long b) { return a > b ? a : b;
     Int full = 1;
     for (Int wdt : spec_.widths()) full = mul_ck(full, wdt);
     counting_fn("dp_cell_count_lb", m_.tile_space(), m_.lb_dims(), false,
-                "lb", [&](Writer& ww) {
+                "dp_lb", [&](Writer& ww) {
                   ww.line(cat("const dpgen::Int dp_t[kDim] = {",
                               tile_coords(), "};"));
                   ww.line(can_full_
@@ -298,7 +298,7 @@ static inline long long dp_max(long long a, long long b) { return a > b ? a : b;
                 });
     w_.blank();
     counting_fn("dp_tile_count_lb", m_.tile_space(), m_.lb_dims(), false,
-                "lb");
+                "dp_lb");
     w_.blank();
   }
 
@@ -376,9 +376,12 @@ static inline long long dp_max(long long a, long long b) { return a > b ? a : b;
       std::vector<std::string> coords;
       for (int k : m_.lb_dims())
         coords.push_back(ext_names_[static_cast<std::size_t>(m_.ext_tile(k))]);
-      ww.line(cat("const dpgen::IntVec dp_lb{", join(coords, ", "), "};"));
-      ww.line("dp_cells.add_cell(dp_lb.data(), dp_cell_count_lb(P, "
-              "dp_lb.data()), dp_tile_count_lb(P, dp_lb.data()));");
+      ww.line(coords.empty()
+                  ? "const dpgen::Int* const dp_lb = nullptr;"
+                  : cat("const dpgen::Int dp_lb[] = {", join(coords, ", "),
+                        "};"));
+      ww.line("dp_cells.add_cell(dp_lb, dp_cell_count_lb(P, dp_lb), "
+              "dp_tile_count_lb(P, dp_lb));");
     });
   }
 
@@ -416,38 +419,29 @@ static inline long long dp_max(long long a, long long b) { return a > b ? a : b;
   }
 
   void basic_overrides() {
-    // Edge offsets as IntVecs: function-local static, built once and
-    // immutable afterwards (worker threads call edge_offset concurrently).
     w_.raw_block(R"(int dim() const override { return kDim; }
 dpgen::Int buffer_size() const override { return kBufferSize; }
 int num_edges() const override { return kEdges; }
 dpgen::Int edge_capacity(int e) const override {
   return kEdgeCapacity[e];
 }
-const dpgen::IntVec& edge_offset(int e) const override {
-  static const std::vector<dpgen::IntVec> dp_offs = [] {
-    std::vector<dpgen::IntVec> v;
-    for (int i = 0; i < kEdges; ++i)
-      v.emplace_back(kEdgeOffsets[i], kEdgeOffsets[i] + kDim);
-    return v;
-  }();
-  return dp_offs[static_cast<size_t>(e)];
+const dpgen::Int* edge_offset(int e) const override {
+  return kEdgeOffsets[e];
 }
-bool tile_exists(const dpgen::IntVec& t) const override {
-  return dp_tile_exists(P_, t.data());
+bool tile_exists(const dpgen::Int* t) const override {
+  return dp_tile_exists(P_, t);
 }
-int dep_count(const dpgen::IntVec& t) const override {
+int dep_count(const dpgen::Int* t) const override {
   int n = 0;
   dpgen::Int q[kDim];
   for (int e = 0; e < kEdges; ++e) {
-    for (int k = 0; k < kDim; ++k)
-      q[k] = t[static_cast<size_t>(k)] + kEdgeOffsets[e][k];
+    for (int k = 0; k < kDim; ++k) q[k] = t[k] + kEdgeOffsets[e][k];
     if (dp_tile_exists(P_, q)) ++n;
   }
   return n;
 }
-dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
-  return dp_tile_cells(P_, t.data());
+dpgen::Int tile_cells(const dpgen::Int* t) const override {
+  return dp_tile_cells(P_, t);
 }
 )");
   }
@@ -457,15 +451,15 @@ dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
     w_.line("// and keep the tiles all of whose dependencies fall outside.");
     w_.line("// Faces overlap; the driver drops the repeats.");
     Block fn(w_,
-             "void initial_tiles(std::vector<dpgen::IntVec>& out) const "
+             "void initial_tiles(dpgen::runtime::TileSink& dp_out) const "
              "override");
     param_preamble("P_");
     for (const auto& nest : m_.face_nests()) {
       Block scope(w_, "");
       emit_scan(w_, nest, ext_names_, [&](Writer& ww) {
-        ww.line(cat("const dpgen::IntVec dp_c{", tile_coords(), "};"));
+        ww.line(cat("const dpgen::Int dp_c[kDim] = {", tile_coords(), "};"));
         ww.line("if (tile_exists(dp_c) && dep_count(dp_c) == 0) "
-                "out.push_back(dp_c);");
+                "dp_out.add_tile(dp_c);");
       });
     }
   }
@@ -474,7 +468,7 @@ dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
     w_.line("// Tile calculation (paper IV.L / Fig. 3): the loop nest over");
     w_.line("// the local iteration space with the user's center code inside.");
     Block fn(w_,
-             cat("void execute_tile(const dpgen::IntVec& dp_t, dp_scalar* "
+             cat("void execute_tile(const dpgen::Int* dp_t, dp_scalar* "
                  "dp_buf) override"));
     param_preamble("P_");
     tile_preamble("dp_t");
@@ -487,7 +481,7 @@ dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
       {
         Block opt(w_, "if (dp_g_loop_passes)");
         if (full_center_) {
-          std::string cond = "dp_tile_full(P_, dp_t.data())";
+          std::string cond = "dp_tile_full(P_, dp_t)";
           if (!m_.checks_hold_test().empty())
             cond += cat(" && ",
                         system_test_cpp(m_.checks_hold_test(), ext_names_));
@@ -514,7 +508,7 @@ dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
   /// equal values, the rule the runtime merges tiles with.
   void tile_max_override() {
     Block fn(w_,
-             "bool tile_max(const dpgen::IntVec& dp_t, const dp_scalar* "
+             "bool tile_max(const dpgen::Int* dp_t, const dp_scalar* "
              "dp_buf, dp_scalar& dp_best, dpgen::Int* dp_at) const override");
     param_preamble("P_");
     tile_preamble("dp_t");
@@ -566,7 +560,7 @@ dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
     w_.line("long long dp_n = 0;");
     if (full_split_)
       w_.line("const bool dp_full = dp_g_loop_passes && "
-              "dp_tile_full(P_, dp_t.data());");
+              "dp_tile_full(P_, dp_t);");
     Block sw(w_, "switch (dp_e)");
     for (int e = 0; e < m_.num_edges(); ++e) {
       Block cs(w_, cat("case ", e, ":"));
@@ -601,7 +595,7 @@ dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
     w_.line("// local dimension is buffer-contiguous, so each innermost");
     w_.line("// range is copied with one memcpy (run coalescing).");
     Block fn(w_,
-             "dpgen::Int pack(int dp_e, const dpgen::IntVec& dp_t, const "
+             "dpgen::Int pack(int dp_e, const dpgen::Int* dp_t, const "
              "dp_scalar* dp_buf, dp_scalar* dp_out) const override");
     emit_edge_runs([](int, const std::string& idx, const std::string& len) {
       return cat("std::memcpy(dp_out + dp_n, dp_buf + ", idx,
@@ -614,7 +608,7 @@ dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
     w_.line("// Edge unpacking: the same runs as pack, written into the");
     w_.line("// consumer's ghost cells (constant shift per edge).");
     Block fn(w_,
-             "void unpack(int dp_e, const dpgen::IntVec& dp_t, const "
+             "void unpack(int dp_e, const dpgen::Int* dp_t, const "
              "dp_scalar* dp_data, dpgen::Int dp_count, dp_scalar* dp_buf) "
              "const override");
     emit_edge_runs([](int e, const std::string& idx, const std::string& len) {
@@ -625,7 +619,17 @@ dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
     w_.line("(void)dp_count;");
   }
 
-  /// The ProgramInfo run_program needs and the one-line main.
+  /// Emits `static const <type> <name>[] = <literal>;` and returns the
+  /// `{name, count}` that hands the table to run_program.  An empty table
+  /// is `{}`: C++ has no zero-length arrays.
+  std::string table(const std::string& type, const std::string& name,
+                    const std::string& literal, std::size_t count) {
+    if (count == 0) return "{}";
+    w_.line(cat("static const ", type, " ", name, "[] = ", literal, ";"));
+    return cat("{", name, ", ", count, "}");
+  }
+
+  /// The ProgramInfo run_program needs, its tables, and the one-line main.
   void program_fn() {
     w_.blank();
     w_.line("// ---- program entry point ----");
@@ -636,24 +640,43 @@ dpgen::Int tile_cells(const dpgen::IntVec& t) const override {
       out += '}';
       return out;
     };
-    std::vector<std::string> probes;
-    for (const auto& pt : probes_) probes.push_back(array_literal(pt));
+    const std::vector<std::string> passes = opt_.passes.names();
+    IntVec probes;
+    for (const auto& pt : probes_)
+      probes.insert(probes.end(), pt.begin(), pt.end());
+    const std::string params =
+        table("char* const", "kParamNames", quoted(spec_.param_names()),
+              spec_.param_names().size());
+    const std::string lb_dims = table(
+        "int", "kLbDims", array_literal(m_.lb_dims()), m_.lb_dims().size());
+    const std::string pass_names =
+        table("char* const", "kPasses", quoted(passes), passes.size());
+    const std::string probe_points =
+        table("dpgen::Int", "kProbes", array_literal(probes), probes.size());
+    auto per_dim = [&](const char* type, const char* name, const auto& v) {
+      w_.line(cat("static const ", type, " ", name, "[kDim] = ",
+                  array_literal(v), ";"));
+    };
+    per_dim("int", "kPriorityDims", m_.priority_dims());
+    per_dim("int", "kDepSigns", spec_.dep_signs());
+    per_dim("dpgen::Int", "kWidths", spec_.widths());
+    per_dim("dpgen::Int", "kStrides", plan_.strides);
+    per_dim("dpgen::Int", "kGhostLo", plan_.ghost_lo);
     w_.line("static const dpgen::runtime::ProgramInfo<dp_scalar> dp_program "
             "= {");
     w_.indent();
     w_.line(cat(".name = \"", spec_.problem_name(), "\","));
-    w_.line(cat(".params = ", quoted(spec_.param_names()), ","));
-    w_.line(cat(".priority_dims = ", array_literal(m_.priority_dims()),
-                ","));
-    w_.line(cat(".dep_signs = ", array_literal(spec_.dep_signs()), ","));
-    w_.line(cat(".lb_dims = ", array_literal(m_.lb_dims()), ","));
-    w_.line(cat(".passes = ", quoted(opt_.passes.names()), ","));
+    w_.line(".dim = kDim,");
+    w_.line(cat(".params = ", params, ","));
+    w_.line(".priority_dims = kPriorityDims,");
+    w_.line(".dep_signs = kDepSigns,");
+    w_.line(cat(".lb_dims = ", lb_dims, ","));
+    w_.line(cat(".passes = ", pass_names, ","));
     if (opt_.passes.loop_passes()) w_.line(".loop_passes = &dp_g_loop_passes,");
-    w_.line(cat(".probes = {.probes = {", join(probes, ", "), "},"));
-    w_.line(cat("           .widths = ", array_literal(spec_.widths()), ","));
-    w_.line(cat("           .strides = ", array_literal(plan_.strides), ","));
-    w_.line(cat("           .ghost_lo = ", array_literal(plan_.ghost_lo),
-                "},"));
+    w_.line(cat(".probes = {.points = ", probe_points, ","));
+    w_.line("           .widths = kWidths,");
+    w_.line("           .strides = kStrides,");
+    w_.line("           .ghost_lo = kGhostLo},");
     w_.line(".scan_cells = dp_lb_cells,");
     w_.raw_block(R"(.make_hooks = [](const long long* P)
     -> dpgen::runtime::ProblemHooks<dp_scalar>* { return new GenProblem(P); },

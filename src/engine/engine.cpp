@@ -40,30 +40,32 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
   int dim() const override { return model_.dim(); }
   Int buffer_size() const override { return model_.buffer_size(); }
   int num_edges() const override { return model_.num_edges(); }
-  const IntVec& edge_offset(int edge) const override {
-    return model_.edges()[static_cast<std::size_t>(edge)].offset;
+  const Int* edge_offset(int edge) const override {
+    return model_.edges()[static_cast<std::size_t>(edge)].offset.data();
   }
   Int edge_capacity(int edge) const override {
     return model_.edges()[static_cast<std::size_t>(edge)].capacity;
   }
-  bool tile_exists(const IntVec& tile) const override {
-    return model_.tile_in_space(params_, tile);
+  bool tile_exists(const Int* t) const override {
+    return model_.tile_in_space(params_, tile_vec(t));
   }
-  int dep_count(const IntVec& tile) const override {
-    return model_.num_deps_of(params_, tile);
+  int dep_count(const Int* t) const override {
+    return model_.num_deps_of(params_, tile_vec(t));
   }
-  Int tile_cells(const IntVec& tile) const override {
+  Int tile_cells(const Int* t) const override {
     // Per dispatched tile on the monitored hot path: use the specialised
     // product form when the local nest permits it, the generic counter
     // otherwise.
+    const IntVec& tile = tile_vec(t);
     return cells_fn_.ok() ? cells_fn_.count(tile)
                           : model_.cell_count(params_, tile);
   }
-  void initial_tiles(std::vector<IntVec>& out) const override {
-    model_.for_each_initial_tile(params_,
-                                 [&](const IntVec& t) { out.push_back(t); });
+  void initial_tiles(runtime::TileSink& out) const override {
+    model_.for_each_initial_tile(
+        params_, [&](const IntVec& t) { out.add_tile(t.data()); });
   }
-  void execute_tile(const IntVec& tile, double* buffer) override {
+  void execute_tile(const Int* t, double* buffer) override {
+    const IntVec& tile = tile_vec(t);
     if (decision_log_) {
       // Per-thread scratch like the rest of the hot path: the log copies
       // the bytes into its run-length encoding, so the vector is reusable.
@@ -78,9 +80,10 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
     }
   }
 
-  bool tile_max(const IntVec& tile, const double* buffer, double& value,
+  bool tile_max(const Int* t, const double* buffer, double& value,
                 Int* point) const override {
     if (!recorder_.track_max) return false;
+    const IntVec& tile = tile_vec(t);
     bool have = false;
     IntVec global(static_cast<std::size_t>(model_.dim()));
     model_.for_each_row(params_, tile, [&](const tiling::CellRow& row) {
@@ -98,7 +101,9 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
     return have;
   }
 
-  void on_tile_executed(const IntVec& tile, const double* buffer) override {
+  void on_tile_executed(const Int* t, const double* buffer) override {
+    if (!tile_hook_ && !recorder_.record_all) return;
+    const IntVec& tile = tile_vec(t);
     if (tile_hook_) tile_hook_(tile);
     if (!recorder_.record_all) return;
     std::lock_guard<std::mutex> lock(recorder_.mu);
@@ -111,14 +116,15 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
     });
   }
 
-  Int pack(int edge, const IntVec& producer, const double* buffer,
+  Int pack(int edge, const Int* t, const double* buffer,
            double* out) const override {
-    return detail::pack_interpreted(model_, params_, edge, producer, buffer,
+    return detail::pack_interpreted(model_, params_, edge, tile_vec(t), buffer,
                                     out);
   }
 
-  void unpack(int edge, const IntVec& producer, const double* data, Int count,
+  void unpack(int edge, const Int* t, const double* data, Int count,
               double* buffer) const override {
+    const IntVec& producer = tile_vec(t);
     if (edge_store_) {
       IntVec consumer = vec_sub(
           producer, model_.edges()[static_cast<std::size_t>(edge)].offset);
@@ -133,6 +139,15 @@ class ModelHooks final : public runtime::ProblemHooks<double> {
   }
 
  private:
+  /// The tile as the model's IntVec, in per-thread scratch: every hook
+  /// converts once on entry, and assign() keeps the capacity, so steady
+  /// state allocates nothing.  Valid until the thread's next call.
+  const IntVec& tile_vec(const Int* t) const {
+    thread_local IntVec tile;
+    tile.assign(t, t + model_.dim());
+    return tile;
+  }
+
   const tiling::TilingModel& model_;
   const IntVec& params_;
   const CenterFn& center_;

@@ -282,6 +282,16 @@ struct DriverMetrics {
   }
 };
 
+/// Collects the tiles a ProblemHooks::initial_tiles scan reports.
+struct TileList final : TileSink {
+  explicit TileList(int d) : dim(d) {}
+  void add_tile(const Int* tile) override {
+    tiles.emplace_back(tile, tile + dim);
+  }
+  int dim;
+  std::vector<IntVec> tiles;
+};
+
 }  // namespace detail
 
 /// Executes one rank's share of the problem: the tiles `owners` gives
@@ -324,8 +334,9 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
   {
     obs::ScopedSpan span(obs::Phase::kInitScan);
     const auto t0 = Clock::now();
-    std::vector<IntVec> initial;
-    hooks.initial_tiles(initial);
+    detail::TileList list(dim);
+    hooks.initial_tiles(list);
+    std::vector<IntVec>& initial = list.tiles;
     std::sort(initial.begin(), initial.end());
     initial.erase(std::unique(initial.begin(), initial.end()), initial.end());
     for (auto& t : initial) {
@@ -348,7 +359,7 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
     // table.  Non-executed producers re-execute and re-send live.
     done.store(checkpoint->seed_rank(
         rank, [&](const IntVec& t) { return owners.owner(t); },
-        [&](const IntVec& t) { return hooks.dep_count(t); }, table));
+        [&](const IntVec& t) { return hooks.dep_count(t.data()); }, table));
     checkpoint->attach_table(rank, &table);
   }
   // Declared after `table` so detach runs before the table dies.
@@ -428,7 +439,9 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
   // no-progress stretch, re-armed as soon as any worker makes progress.
   std::atomic<long long> stall_warned_marker{-1};
 
-  auto expected_deps = [&](const IntVec& t) { return hooks.dep_count(t); };
+  auto expected_deps = [&](const IntVec& t) {
+    return hooks.dep_count(t.data());
+  };
 
   auto worker = [&](int worker_id) {
     obs::ThreadBinding binding(session, rank, worker_id);
@@ -643,7 +656,7 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
       // flats the straggler detector would mistake for slowness).  The
       // profiler's per-tile totals reuse the same count.
       const Int tile_cells_now = (opt.monitor || profiling)
-                                     ? hooks.tile_cells(ready->tile)
+                                     ? hooks.tile_cells(ready->tile.data())
                                      : 0;
       if (opt.monitor)
         done_cells.fetch_add(tile_cells_now, std::memory_order_relaxed);
@@ -668,12 +681,11 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
         // clock off the hot path for locally-fed tiles.
         std::int64_t unpack_ns = 0;
         for (auto& e : ready->edges) {
-          const IntVec& off = hooks.edge_offset(e.edge);
+          const Int* off = hooks.edge_offset(e.edge);
           for (int k = 0; k < dim; ++k)
             producer[static_cast<std::size_t>(k)] =
-                add_ck(ready->tile[static_cast<std::size_t>(k)],
-                       off[static_cast<std::size_t>(k)]);
-          hooks.unpack(e.edge, producer, e.payload.data(),
+                add_ck(ready->tile[static_cast<std::size_t>(k)], off[k]);
+          hooks.unpack(e.edge, producer.data(), e.payload.data(),
                        static_cast<Int>(e.payload.size()), buffer.data());
           if (e.msg.seq >= 0) {
             if (unpack_ns == 0) unpack_ns = obs::now_ns();
@@ -710,7 +722,7 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
         obs::ScopedSpan span(obs::Phase::kTileExecute, &ready->tile);
         const bool prof_window = profiling && obs::Profiler::tile_begin();
         const auto t0 = Clock::now();
-        hooks.execute_tile(ready->tile, buffer.data());
+        hooks.execute_tile(ready->tile.data(), buffer.data());
         const std::int64_t exec_ns =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 Clock::now() - t0)
@@ -721,11 +733,11 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
                                   exec_ns);
         metrics.tile_ns.observe(exec_ns);
       }
-      hooks.on_tile_executed(ready->tile, buffer.data());
+      hooks.on_tile_executed(ready->tile.data(), buffer.data());
       if (sink) {
         sink->record_probes(ready->tile, buffer.data());
         S max_value{};
-        if (hooks.tile_max(ready->tile, buffer.data(), max_value,
+        if (hooks.tile_max(ready->tile.data(), buffer.data(), max_value,
                            max_point.data()))
           sink->merge_max(max_value, max_point.data(), dim);
       }
@@ -733,12 +745,11 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
 
       // 4. pack and route each valid outgoing edge
       for (int e = 0; e < num_edges; ++e) {
-        const IntVec& off = hooks.edge_offset(e);
+        const Int* off = hooks.edge_offset(e);
         for (int k = 0; k < dim; ++k)
           consumer[static_cast<std::size_t>(k)] =
-              sub_ck(ready->tile[static_cast<std::size_t>(k)],
-                     off[static_cast<std::size_t>(k)]);
-        if (!hooks.tile_exists(consumer)) continue;
+              sub_ck(ready->tile[static_cast<std::size_t>(k)], off[k]);
+        if (!hooks.tile_exists(consumer.data())) continue;
         // Executed consumers (possible only after a restart/resume, when
         // this producer is re-running) already folded this edge into their
         // recorded results; sending it again would at best be dropped at
@@ -756,7 +767,7 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
           Int count;
           {
             obs::ScopedSpan span(obs::Phase::kPack, &ready->tile);
-            count = hooks.pack(e, ready->tile, buffer.data(),
+            count = hooks.pack(e, ready->tile.data(), buffer.data(),
                                ed.payload.data());
           }
           DPGEN_ASSERT(count >= 0 &&
@@ -779,7 +790,7 @@ RunStats run_node(ProblemHooks<S>& hooks, const OwnerTable& owners,
           Int count;
           {
             obs::ScopedSpan pack_span(obs::Phase::kPack, &ready->tile);
-            count = hooks.pack(e, ready->tile, buffer.data(), out);
+            count = hooks.pack(e, ready->tile.data(), buffer.data(), out);
           }
           DPGEN_ASSERT(count >= 0 && count <= hooks.edge_capacity(e));
           detail::finish_edge_wire<S>(wire, e, consumer, count);

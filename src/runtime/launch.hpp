@@ -163,7 +163,7 @@ template <typename S>
 void check_resume(const CheckpointDoc& doc, const ProblemHooks<S>& hooks) {
   auto in_space = [&](const IntVec& t, const char* what) {
     DPGEN_CHECK(static_cast<int>(t.size()) == hooks.dim() &&
-                    hooks.tile_exists(t),
+                    hooks.tile_exists(t.data()),
                 cat("checkpoint: ", what, " ", vec_to_string(t),
                     " is not in the tile space"));
   };
@@ -174,11 +174,14 @@ void check_resume(const CheckpointDoc& doc, const ProblemHooks<S>& hooks) {
                 cat("checkpoint: edge index ", e.edge, " outside [0, ",
                     hooks.num_edges(), ")"));
     in_space(e.consumer, "edge consumer");
-    const IntVec producer = vec_add(e.consumer, hooks.edge_offset(e.edge));
+    const Int* off = hooks.edge_offset(e.edge);
+    const IntVec producer =
+        vec_add(e.consumer, IntVec(off, off + hooks.dim()));
     in_space(producer, "edge producer");
     out.resize(static_cast<std::size_t>(hooks.edge_capacity(e.edge)));
     const auto bytes = static_cast<std::size_t>(
-        hooks.pack(e.edge, producer, buffer.data(), out.data())) * sizeof(S);
+        hooks.pack(e.edge, producer.data(), buffer.data(), out.data())) *
+        sizeof(S);
     DPGEN_CHECK(e.payload_bytes.size() == bytes,
                 cat("checkpoint: edge ", e.edge, " into ",
                     vec_to_string(e.consumer), " carries ",
@@ -215,8 +218,10 @@ LaunchResult launch(const PlanFn& plan, const LaunchOptions& options,
         for (int r = 0; r < p.owners.nranks(); ++r)
           a.predicted_work.push_back(
               static_cast<double>(p.owners.owned_work(r)));
-        for (int e = 0; e < p.hooks->num_edges(); ++e)
-          a.edge_offsets.push_back(p.hooks->edge_offset(e));
+        for (int e = 0; e < p.hooks->num_edges(); ++e) {
+          const Int* off = p.hooks->edge_offset(e);
+          a.edge_offsets.emplace_back(off, off + p.hooks->dim());
+        }
         a.run = [&](minimpi::World& world, const RunOptions& ropt) {
           std::vector<RunStats> stats(static_cast<std::size_t>(world.size()));
           try {

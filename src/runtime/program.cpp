@@ -1,5 +1,5 @@
 // The compiled half of runtime/program.hpp and runtime/run_state.hpp: the
-// OwnerTable, and the one copy of ResultSink<double> and
+// OwnerTable, probe_set, and the one copy of ResultSink<double> and
 // run_program<double> that the engine and every double-precision
 // generated program link.
 #include "runtime/run_state.hpp"
@@ -113,6 +113,17 @@ int OwnerTable::owner(const IntVec& tile) const {
               cat("tile ", vec_to_string(tile),
                   " has no load-balance cell; is it in the tile space?"));
   return rank;
+}
+
+ProbeSet probe_set(const ProbeLayout& layout, int dim) {
+  const auto d = static_cast<std::size_t>(dim);
+  ProbeSet set{{},
+               {layout.widths, layout.widths + d},
+               {layout.strides, layout.strides + d},
+               {layout.ghost_lo, layout.ghost_lo + d}};
+  for (const Int* p = layout.points.begin(); p != layout.points.end(); p += d)
+    set.points.emplace_back(p, p + d);
+  return set;
 }
 
 double OwnerTable::imbalance() const {

@@ -14,20 +14,20 @@
 namespace dpgen::runtime {
 
 template <typename S>
-ResultSink<S>::ResultSink(ProbeLayout layout) : layout_(std::move(layout)) {}
+ResultSink<S>::ResultSink(ProbeSet probes) : probes_(std::move(probes)) {}
 
 template <typename S>
 ResultSink<S>::~ResultSink() = default;
 
 template <typename S>
 void ResultSink<S>::record_probes(const IntVec& tile, const S* buffer) {
-  for (const IntVec& probe : layout_.probes) {
+  for (const IntVec& probe : probes_.points) {
     Int idx = 0;
     bool inside = true;
     for (std::size_t k = 0; k < tile.size() && inside; ++k) {
-      const Int local = probe[k] - layout_.widths[k] * tile[k];
-      inside = local >= 0 && local < layout_.widths[k];
-      idx += layout_.strides[k] * (local + layout_.ghost_lo[k]);
+      const Int local = probe[k] - probes_.widths[k] * tile[k];
+      inside = local >= 0 && local < probes_.widths[k];
+      idx += probes_.strides[k] * (local + probes_.ghost_lo[k]);
     }
     if (!inside) continue;
     std::lock_guard<std::mutex> lock(mu_);
@@ -60,7 +60,7 @@ void ResultSink<S>::print() const {
 
 template <typename S>
 int run_program(const ProgramInfo<S>& info, int argc, char** argv) {
-  const int nparams = static_cast<int>(info.params.size());
+  const int nparams = info.params.size;
   if (argc < 1 + nparams) {
     std::string positional;
     for (const char* name : info.params) positional += cat(" <", name, ">");
@@ -100,10 +100,10 @@ int run_program(const ProgramInfo<S>& info, int argc, char** argv) {
     }
     if (info.init) info.init(params.data());
 
-    ResultSink<S> sink(info.probes);
+    ResultSink<S> sink(probe_set(info.probes, info.dim));
     // The cells are scanned once; each attempt cuts them over the ranks
     // still alive.
-    OwnerTable cells(info.lb_dims);
+    OwnerTable cells({info.lb_dims.begin(), info.lb_dims.end()});
     bool scanned = false;
     const LaunchResult run = launch<S>(
         [&](int alive) {
@@ -114,8 +114,10 @@ int run_program(const ProgramInfo<S>& info, int argc, char** argv) {
                   info.make_hooks(params.data())),
               .owners = cells,
               .sink = &sink,
-              .order = TileOrder(info.priority_dims, info.dep_signs,
-                                 options.policy)};
+              .order = TileOrder(
+                  {info.priority_dims, info.priority_dims + info.dim},
+                  {info.dep_signs, info.dep_signs + info.dim},
+                  options.policy)};
           plan.owners.cut(alive);
           return plan;
         },

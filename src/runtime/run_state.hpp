@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "runtime/program.hpp"
+#include "support/vec.hpp"
 
 namespace dpgen::runtime {
 
@@ -26,12 +27,22 @@ inline bool max_beats(S value, const Int* point, S best,
   return false;
 }
 
+/// Probed locations and where they sit in a tile buffer (ProbeLayout,
+/// runtime/program.hpp, as the run keeps it).
+struct ProbeSet {
+  std::vector<IntVec> points;
+  IntVec widths, strides, ghost_lo;
+};
+
+/// Copies a program's plain ProbeLayout, whose rows have `dim` entries.
+ProbeSet probe_set(const ProbeLayout& layout, int dim);
+
 /// A run's results, shared by every rank and worker: the probed values
 /// and the tracked maximum.
 template <typename S>
 class ResultSink {
  public:
-  explicit ResultSink(ProbeLayout layout);
+  explicit ResultSink(ProbeSet probes);
   // Out of line, so a holder compiles none of the map and mutex teardown.
   ~ResultSink();
 
@@ -48,7 +59,7 @@ class ResultSink {
   const IntVec& max_point() const { return max_point_; }
 
  private:
-  ProbeLayout layout_;
+  ProbeSet probes_;
   std::mutex mu_;
   std::map<IntVec, S> values_;
   bool have_max_ = false;

@@ -12,6 +12,9 @@
 
 namespace dpgen {
 
+/// A point / offset / coefficient row in Z^d.
+using IntVec = std::vector<Int>;
+
 /// Component-wise sum; both vectors must have the same length.
 inline IntVec vec_add(const IntVec& a, const IntVec& b) {
   DPGEN_ASSERT(a.size() == b.size());

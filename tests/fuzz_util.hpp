@@ -7,6 +7,7 @@
 
 #include "engine/engine.hpp"
 #include "spec/problem_spec.hpp"
+#include "support/str.hpp"
 
 namespace dpgen::fuzz {
 
@@ -32,7 +33,7 @@ inline spec::ProblemSpec random_spec(Rng& rng, int* out_ndeps) {
   spec::ProblemSpec s;
   s.name("fuzz").params({"N"});
   std::vector<std::string> vars;
-  for (int k = 0; k < d; ++k) vars.push_back("x" + std::to_string(k + 1));
+  for (int k = 0; k < d; ++k) vars.push_back(cat("x", k + 1));
   s.vars(vars);
   for (int k = 0; k < d; ++k) {
     s.constraint(vars[static_cast<std::size_t>(k)] + " >= 0");
@@ -43,8 +44,8 @@ inline spec::ProblemSpec random_spec(Rng& rng, int* out_ndeps) {
     for (int k = 0; k < d; ++k) {
       Int a = rng.range(0, 2);
       if (a == 0) continue;
-      sum += (sum.empty() ? "" : " + ") + std::to_string(a) + "*" +
-             vars[static_cast<std::size_t>(k)];
+      sum += cat(sum.empty() ? "" : " + ", a, "*",
+                 vars[static_cast<std::size_t>(k)]);
     }
     if (!sum.empty()) s.constraint(sum + " <= 2*N");
   }
@@ -66,7 +67,7 @@ inline spec::ProblemSpec random_spec(Rng& rng, int* out_ndeps) {
         if (mag != 0) nonzero = true;
       }
     }
-    s.dep("r" + std::to_string(j + 1), r);
+    s.dep(cat("r", j + 1), r);
   }
 
   IntVec widths;
@@ -76,9 +77,8 @@ inline spec::ProblemSpec random_spec(Rng& rng, int* out_ndeps) {
 
   std::string center = "double dp_v = 1.0;\n";
   for (int j = 0; j < ndeps; ++j)
-    center += "if (is_valid_r" + std::to_string(j + 1) + ") dp_v += V[loc_r" +
-              std::to_string(j + 1) + "] / " + std::to_string(j + 2) +
-              ".0;\n";
+    center += cat("if (is_valid_r", j + 1, ") dp_v += V[loc_r", j + 1, "] / ",
+                  j + 2, ".0;\n");
   center += "V[loc] = dp_v;\n";
   s.center_code(center);
   return s;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include "poly/parse.hpp"
 #include "problems/problems.hpp"
 #include "runtime/launch.hpp"
+#include "spec/parser.hpp"
 #include "support/json_schema.hpp"
 #include "support/str.hpp"
 #include "tiling/balance.hpp"
@@ -124,27 +126,37 @@ TEST(GeneratedSource, ProbeDefaultsToOrigin) {
   problems::Problem p = problems::bandit2(4);
   tiling::TilingModel model(p.spec);
   std::string src = generate_program(model);
-  EXPECT_NE(src.find(".probes = {.probes = {{0LL, 0LL, 0LL, 0LL}},"),
+  EXPECT_NE(src.find("static const dpgen::Int kProbes[] = "
+                     "{0LL, 0LL, 0LL, 0LL};"),
             std::string::npos);
+  EXPECT_NE(src.find(".probes = {.points = {kProbes, 4},"), std::string::npos);
 }
 
 TEST(GeneratedSource, MainDelegatesToLauncher) {
   // The command line, the run and the printed lines live once, in
   // runtime::run_program: the emitted main is one call, and the program
   // parses no flags, cuts no load balance and touches neither the run's
-  // observability state nor the document writers itself.
+  // observability state nor the document writers itself.  Tiles cross
+  // into the runtime as plain pointers: no vector anywhere, with or
+  // without the loop passes and a tracked maximum.
   problems::Problem p = problems::bandit2(8);
   tiling::TilingModel model(p.spec);
-  std::string src = generate_program(model);
-  EXPECT_NE(src.find("int main(int argc, char** argv) {\n"
-                     "  return dpgen::runtime::run_program(dp_program, argc, "
-                     "argv);\n}\n"),
-            std::string::npos);
-  for (const char* banned :
-       {"launch<", "parse_flag", "usage:", "printf", "__int128", "std::map",
-        "std::mutex", "obs::Session", "ThreadBinding", "Profiler::instance()",
-        "MonitorOptions", "write_report_json"})
-    EXPECT_EQ(src.find(banned), std::string::npos) << banned;
+  GenOptions full;
+  full.passes = PassPipeline::parse("full");
+  full.track_max = true;
+  for (const std::string& src :
+       {generate_program(model), generate_program(model, full)}) {
+    EXPECT_NE(src.find("int main(int argc, char** argv) {\n"
+                       "  return dpgen::runtime::run_program(dp_program, "
+                       "argc, argv);\n}\n"),
+              std::string::npos);
+    for (const char* banned :
+         {"launch<", "parse_flag", "usage:", "printf", "__int128", "std::map",
+          "std::mutex", "obs::Session", "ThreadBinding",
+          "Profiler::instance()", "MonitorOptions", "write_report_json",
+          "IntVec", "std::vector", ".data()"})
+      EXPECT_EQ(src.find(banned), std::string::npos) << banned;
+  }
 }
 
 TEST(GeneratedSource, WriteProgramCreatesFile) {
@@ -238,6 +250,37 @@ TEST(EndToEnd, GeneratedBandit2MatchesOracle) {
   }
 }
 
+TEST(EndToEnd, ParameterNamedLbCompiles) {
+  // Every spec parameter is declared by name in the emitted lb-cell
+  // counters, so their coordinate argument takes the reserved name dp_lb:
+  // bandit2 with N renamed to lb compiles and prints the same RESULT.
+  problems::Problem p = problems::bandit2(4);
+  std::string text = p.spec.to_text();
+  auto rename = [&](const std::string& from, const std::string& to) {
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from << " in\n" << text;
+    text.replace(at, from.size(), to);
+  };
+  rename("params N\n", "params lb\n");
+  rename("N - s1", "lb - s1");
+  std::string results[2];
+  for (int renamed = 0; renamed < 2; ++renamed) {
+    tiling::TilingModel model(renamed ? spec::parse_spec(text) : p.spec);
+    const std::string name = renamed ? "bandit2_lb" : "bandit2_n";
+    const std::string src_path =
+        cat(testing::TempDir(), "/dpgen_", name, "_gen.cpp");
+    write_program(model, src_path);
+    auto prog = compile_program(src_path, name);
+    ASSERT_TRUE(prog.ok) << prog.log;
+    auto [status, out] = run_command(cat(prog.binary, " 11 --ranks=2"));
+    ASSERT_EQ(status, 0) << out;
+    results[renamed] = result_lines(out);
+  }
+  EXPECT_NE(results[0].find("RESULT (0, 0, 0, 0) = "), std::string::npos)
+      << results[0];
+  EXPECT_EQ(results[1], results[0]);
+}
+
 TEST(EndToEnd, GeneratedLcsMatchesOracle) {
   std::vector<std::string> seqs{"ABCBDAB", "BDCABA"};
   problems::Problem p = problems::lcs(seqs, 4);
@@ -251,7 +294,7 @@ TEST(EndToEnd, GeneratedLcsMatchesOracle) {
 
   IntVec params = problems::sequence_params(seqs);
   std::string args;
-  for (Int v : params) args += " " + std::to_string(v);
+  for (Int v : params) args += cat(" ", v);
   auto [status, out] =
       run_command(cat(prog.binary, args, " --ranks=2 --threads=2"));
   ASSERT_EQ(status, 0) << out;
@@ -413,7 +456,7 @@ TEST(EndToEnd, GeneratedMsa3WithEmbeddedSequences) {
 
   IntVec params = problems::sequence_params(seqs);
   std::string args;
-  for (Int v : params) args += " " + std::to_string(v);
+  for (Int v : params) args += cat(" ", v);
   auto [status, out] = run_command(cat(prog.binary, args, " --threads=2"));
   ASSERT_EQ(status, 0) << out;
   EXPECT_NEAR(parse_result(out, p.objective), p.reference(params), 1e-12)
@@ -522,8 +565,8 @@ TEST(DriverInstantiation, DoubleProgramIncludesOnlyTheProgramHeader) {
   // A double program compiles its geometry against runtime/program.hpp
   // alone: nothing of the launcher, the driver, the run state, the
   // observability layer or the message-passing layer is in its include
-  // closure, and of the standard library only <cstdint>, <cstring>,
-  // <vector> and their internals.
+  // closure, and of the standard library only <cstdint>, <cstring> and
+  // their internals.
   problems::Problem p = problems::bandit2(8);
   tiling::TilingModel model(p.spec);
   GenOptions gen;
@@ -548,19 +591,28 @@ TEST(DriverInstantiation, DoubleProgramIncludesOnlyTheProgramHeader) {
   int listed = 0;
   for (std::string dep; in >> dep;) {
     ++listed;
-    for (const std::string header : {"/map", "/set", "/mutex", "/memory",
-                                     "/string", "/functional", "/stdexcept"})
+    for (const std::string header :
+         {"/map", "/set", "/mutex", "/memory", "/string", "/functional",
+          "/stdexcept", "/vector"})
       EXPECT_FALSE(dep.size() >= header.size() &&
                    dep.compare(dep.size() - header.size(), header.size(),
                                header) == 0)
           << dep << " in the closure of a double program";
+    EXPECT_EQ(dep.find("bits/stl_vector.h"), std::string::npos)
+        << dep << " in the closure of a double program";
   }
   EXPECT_GT(listed, 3) << deps;
+  // What the compiler front end reads: ~1.9k preprocessed lines, where a
+  // <vector>-based runtime header made 22.6k.
+  auto [estatus, preprocessed] =
+      run_command(cat(codegen_test::compiler_command("-O1"), " -E ", src));
+  ASSERT_EQ(estatus, 0) << preprocessed;
+  EXPECT_LT(std::count(preprocessed.begin(), preprocessed.end(), '\n'), 3000);
 }
 
 TEST(EndToEnd, GlobalCodeIncludesTheHeadersItUses) {
-  // The program provides only <cstdint>, <cstring> and <vector>: user
-  // global code that calls std::sqrt includes <cmath> itself.
+  // The program provides only <cstdint> and <cstring>: user global code
+  // that calls std::sqrt includes <cmath> itself.
   spec::ProblemSpec s;
   s.name("roots")
       .params({"N"})
@@ -754,7 +806,7 @@ struct PoisonCase {
 
 std::string param_args(const IntVec& params) {
   std::string args;
-  for (Int v : params) args += " " + std::to_string(v);
+  for (Int v : params) args += cat(" ", v);
   return args;
 }
 

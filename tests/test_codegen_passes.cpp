@@ -194,7 +194,7 @@ TEST(CodegenPassesSource, CanonicalizeSplitsFullTiles) {
   // One predicate, used by pack, unpack and execute_tile.
   EXPECT_NE(src.find("static inline bool dp_tile_full("), std::string::npos);
   EXPECT_NE(src.find("- 28LL) >= 0"), std::string::npos);
-  EXPECT_NE(src.find("dp_tile_full(P_, dp_t.data()) && "), std::string::npos);
+  EXPECT_NE(src.find("dp_tile_full(P_, dp_t) && "), std::string::npos);
   std::size_t uses = 0;
   for (std::size_t at = src.find("const bool dp_full = dp_g_loop_passes && ");
        at != std::string::npos;

@@ -283,24 +283,24 @@ class BrokenDepCountHooks final : public runtime::ProblemHooks<double> {
   int dim() const override { return 1; }
   Int buffer_size() const override { return 2; }
   int num_edges() const override { return 1; }
-  const IntVec& edge_offset(int) const override { return offset_; }
-  bool tile_exists(const IntVec& t) const override {
+  const Int* edge_offset(int) const override { return &offset_; }
+  bool tile_exists(const Int* t) const override {
     return t[0] >= 0 && t[0] <= 1;
   }
-  int dep_count(const IntVec&) const override { return 5; }  // wrong: is 1
-  void initial_tiles(std::vector<IntVec>& out) const override {
-    out.push_back({1});
+  int dep_count(const Int*) const override { return 5; }  // wrong: is 1
+  void initial_tiles(runtime::TileSink& out) const override {
+    const Int last = 1;
+    out.add_tile(&last);
   }
-  void execute_tile(const IntVec&, double*) override {}
+  void execute_tile(const Int*, double*) override {}
   Int edge_capacity(int) const override { return 0; }
-  Int pack(int, const IntVec&, const double*, double*) const override {
+  Int pack(int, const Int*, const double*, double*) const override {
     return 0;
   }
-  void unpack(int, const IntVec&, const double*, Int, double*) const override {
-  }
+  void unpack(int, const Int*, const double*, Int, double*) const override {}
 
  private:
-  IntVec offset_{1};
+  Int offset_ = 1;
 };
 
 /// One rank owning every one of `tiles` tiles (no lb dimensions).

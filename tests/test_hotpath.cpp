@@ -338,36 +338,34 @@ class GridHooks final : public runtime::ProblemHooks<double> {
   int dim() const override { return 2; }
   Int buffer_size() const override { return 16; }
   int num_edges() const override { return 2; }
-  const IntVec& edge_offset(int e) const override {
-    return e == 0 ? off0_ : off1_;
-  }
+  const Int* edge_offset(int e) const override { return offsets_[e]; }
   Int edge_capacity(int) const override { return 4; }
-  bool tile_exists(const IntVec& t) const override {
+  bool tile_exists(const Int* t) const override {
     return t[0] >= 0 && t[0] < n_ && t[1] >= 0 && t[1] < n_;
   }
-  int dep_count(const IntVec& t) const override {
+  int dep_count(const Int* t) const override {
     return (t[0] + 1 < n_ ? 1 : 0) + (t[1] + 1 < n_ ? 1 : 0);
   }
-  void initial_tiles(std::vector<IntVec>& out) const override {
-    out.push_back({n_ - 1, n_ - 1});
+  void initial_tiles(runtime::TileSink& out) const override {
+    const Int corner[2] = {n_ - 1, n_ - 1};
+    out.add_tile(corner);
   }
-  void execute_tile(const IntVec&, double* buffer) override {
+  void execute_tile(const Int*, double* buffer) override {
     buffer[0] += 1.0;
   }
-  Int pack(int, const IntVec&, const double* buffer,
+  Int pack(int, const Int*, const double* buffer,
            double* out) const override {
     std::memcpy(out, buffer, 4 * sizeof(double));
     return 4;
   }
-  void unpack(int, const IntVec&, const double* data, Int count,
+  void unpack(int, const Int*, const double* data, Int count,
               double* buffer) const override {
     for (Int i = 0; i < count; ++i) buffer[4 + i] = data[i];
   }
 
  private:
   Int n_;
-  IntVec off0_{1, 0};
-  IntVec off1_{0, 1};
+  Int offsets_[2][2] = {{1, 0}, {0, 1}};
 };
 
 struct AllocRun {

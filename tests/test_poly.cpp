@@ -359,7 +359,7 @@ TEST(Counting, SimplexMatchesBinomial) {
   // |{x in Z^d : x_i >= 0, sum x_i <= N}| == C(N+d, d)
   for (int d = 1; d <= 4; ++d) {
     Vars v;
-    for (int i = 0; i < d; ++i) v.add("x" + std::to_string(i));
+    for (int i = 0; i < d; ++i) v.add(cat("x", i));
     System s(v);
     LinExpr sum(d);
     for (int i = 0; i < d; ++i) {
@@ -416,7 +416,7 @@ TEST(LoopNestScan, RandomSystemsMatchBruteForce) {
   for (int trial = 0; trial < 30; ++trial) {
     const int d = static_cast<int>(rnd(1, 3));
     Vars v;
-    for (int k = 0; k < d; ++k) v.add("x" + std::to_string(k));
+    for (int k = 0; k < d; ++k) v.add(cat("x", k));
     System s(v);
     const Int box = 6;
     for (int k = 0; k < d; ++k) {

@@ -12,6 +12,7 @@
 
 #include "problems/problems.hpp"
 #include "runtime/run_state.hpp"
+#include "support/str.hpp"
 #include "tiling/balance.hpp"
 #include "tiling/model.hpp"
 
@@ -37,7 +38,7 @@ spec::ProblemSpec triangle_spec(Int width, std::vector<IntVec> deps) {
   s.name("tri").params({"N"}).vars({"x", "y"});
   s.constraint("x >= 0").constraint("y >= 0").constraint("x + y <= N");
   int i = 1;
-  for (auto& d : deps) s.dep("r" + std::to_string(i++), std::move(d));
+  for (auto& d : deps) s.dep(cat("r", i++), std::move(d));
   s.load_balance({"x", "y"}).tile_widths({width, width});
   s.center_code("V[loc] = 0.0;");
   return s;

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "problems/problems.hpp"
+#include "support/str.hpp"
 #include "tiling/model.hpp"
 
 namespace dpgen::tiling {
@@ -175,7 +176,7 @@ TEST_P(TilingInvariants, WholeBoxChecksMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Widths, TilingInvariants,
                          ::testing::Values<Int>(1, 2, 3, 5),
                          [](const auto& info) {
-                           return "w" + std::to_string(info.param);
+                           return cat("w", info.param);
                          });
 
 }  // namespace
